@@ -10,7 +10,7 @@ and ``run_all`` does so for the whole manifest.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -91,6 +91,14 @@ def _validate(record: IdentityRecord, point: ParamPoint) -> dict:
     return pt
 
 
+def _tolerance(record: IdentityRecord, rel_tol: float | None, abs_floor: float) -> float:
+    """The relative tolerance for ``record``; both bounds must be > 0."""
+    tol = DEFAULT_TOLERANCES[record.difficulty] if rel_tol is None else rel_tol
+    if not (tol > 0.0 and abs_floor > 0.0):
+        raise ConstraintError("verify: rel_tol and abs_floor must be > 0")
+    return tol
+
+
 def evaluate_sides(identity: str, point: ParamPoint,
                    budgets: Budgets = Budgets()) -> tuple[EvalResult, EvalResult]:
     """Evaluate LHS and RHS of one identity at one admissible point."""
@@ -111,13 +119,10 @@ def verify(identity: str, point: ParamPoint, rel_tol: float | None = None,
     """
     record = get_identity(identity)
     pt = _validate(record, point)
-    if rel_tol is None:
-        rel_tol = DEFAULT_TOLERANCES[record.difficulty]
-    if not (rel_tol > 0.0 and abs_floor > 0.0):
-        raise ConstraintError("verify: rel_tol and abs_floor must be > 0")
+    tol = _tolerance(record, rel_tol, abs_floor)
     lhs = record.lhs(pt, budgets)
     rhs = record.rhs(pt, budgets)
-    return compare_sides(record, pt, lhs, rhs, rel_tol, abs_floor)
+    return compare_sides(record, pt, lhs, rhs, tol, abs_floor)
 
 
 @dataclass
@@ -152,6 +157,12 @@ class Report:
                     "rhs": e.rhs.value,
                     "lhs_err": e.lhs.abs_err_est,
                     "rhs_err": e.rhs.abs_err_est,
+                    "lhs_nodes": int(e.lhs.terms_or_nodes_used),
+                    "rhs_nodes": int(e.rhs.terms_or_nodes_used),
+                    "lhs_converged": bool(e.lhs.converged),
+                    "rhs_converged": bool(e.rhs.converged),
+                    **({"lhs_note": e.lhs.note} if e.lhs.note else {}),
+                    **({"rhs_note": e.rhs.note} if e.rhs.note else {}),
                     "abs_diff": e.abs_diff,
                     "rel_diff": e.rel_diff,
                     "status": e.status,
@@ -168,8 +179,10 @@ class Report:
         for e in d["entries"]:
             entries.append(VerificationResult(
                 identity=e["id"], point=dict(e["params"]),
-                lhs=EvalResult(e["lhs"], e["lhs_err"], True, 0),
-                rhs=EvalResult(e["rhs"], e["rhs_err"], True, 0),
+                lhs=EvalResult(e["lhs"], e["lhs_err"], e["lhs_converged"],
+                               e["lhs_nodes"], e.get("lhs_note", "")),
+                rhs=EvalResult(e["rhs"], e["rhs_err"], e["rhs_converged"],
+                               e["rhs_nodes"], e.get("rhs_note", "")),
                 abs_diff=e["abs_diff"], rel_diff=e["rel_diff"],
                 status=e["status"], note=e.get("note", "")))
         return cls(d["artifact_version"], d["timestamp"],
@@ -186,82 +199,66 @@ def _grid_of(record: IdentityRecord, space_override: ParamSpace | None):
     grid = tuple(space.grid())
     if not grid:
         raise ConstraintError(f"{record.id}: empty verification grid")
-    return sorted(grid, key=point_key)
+    return grid
 
 
 def _verify_points(record: IdentityRecord, points, rel_tol, abs_floor,
-                   budgets: Budgets, jobs: int) -> list[VerificationResult]:
-    tol = rel_tol if rel_tol is not None else DEFAULT_TOLERANCES[record.difficulty]
-
-    def one(pt) -> VerificationResult:
+                   budgets: Budgets) -> list[VerificationResult]:
+    tol = _tolerance(record, rel_tol, abs_floor)
+    results = []
+    for pt in points:
         try:
             p = _validate(record, pt)
-            lhs = record.lhs(p, budgets)
-            rhs = record.rhs(p, budgets)
-            return compare_sides(record, p, lhs, rhs, tol, abs_floor)
+            results.append(compare_sides(record, p, record.lhs(p, budgets),
+                                         record.rhs(p, budgets), tol, abs_floor))
         except Exception as exc:  # a point failure must not abort the grid
             bad = EvalResult(float("nan"), float("inf"), False, 0)
-            return VerificationResult(record.id, dict(pt), bad, bad,
-                                      float("nan"), float("nan"),
-                                      STATUS_INCONCLUSIVE,
-                                      note=f"point error: {exc}")
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, points))
-    else:
-        results = [one(pt) for pt in points]
-    results.sort(key=lambda r: (r.identity, point_key(r.point)))
+            results.append(VerificationResult(record.id, dict(pt), bad, bad,
+                                              float("nan"), float("nan"),
+                                              STATUS_INCONCLUSIVE,
+                                              note=f"point error: {exc}"))
     return results
+
+
+def _report(entries: list[VerificationResult], policy: dict, t0: float) -> Report:
+    entries.sort(key=lambda r: (_id_sort_key(r.identity), point_key(r.point)))
+    return Report(__version__, _utc_now(), policy, entries, time.perf_counter() - t0)
+
+
+def _ignore_jobs(jobs: int) -> None:
+    if jobs != 1:
+        warnings.warn("jobs is deprecated and ignored: points are verified serially",
+                      DeprecationWarning, stacklevel=3)
 
 
 def verify_grid(identity: str, space_override: ParamSpace | None = None,
                 rel_tol: float | None = None,
                 abs_floor: float = DEFAULT_ABS_FLOOR,
                 budgets: Budgets = Budgets(), jobs: int = 1) -> Report:
-    """Verify one identity over its default (or an overriding) grid."""
+    """Verify one identity over its default (or an overriding) grid.
+
+    ``jobs`` is deprecated and ignored; points are verified serially.
+    """
+    _ignore_jobs(jobs)
     record = get_identity(identity)
     points = _grid_of(record, space_override)
     t0 = time.perf_counter()
-    entries = _verify_points(record, points, rel_tol, abs_floor, budgets, jobs)
-    wall = time.perf_counter() - t0
-    policy = dict(DEFAULT_TOLERANCES)
-    if rel_tol is not None:
-        policy = {record.difficulty: rel_tol}
-    return Report(__version__, _utc_now(), policy, entries, wall)
+    entries = _verify_points(record, points, rel_tol, abs_floor, budgets)
+    policy = dict(DEFAULT_TOLERANCES) if rel_tol is None else {record.difficulty: rel_tol}
+    return _report(entries, policy, t0)
 
 
 def run_all(rel_tol: float | None = None,
             abs_floor: float = DEFAULT_ABS_FLOOR,
             budgets: Budgets = Budgets(), jobs: int = 1) -> Report:
-    """Verify every identity on its default grid; one aggregated report."""
+    """Verify every identity on its default grid; one aggregated report.
+
+    ``jobs`` is deprecated and ignored; points are verified serially.
+    """
+    _ignore_jobs(jobs)
     t0 = time.perf_counter()
-    work = []
+    entries = []
     for record in _ALL:
-        for pt in _grid_of(record, None):
-            work.append((record, pt))
-    tol_for = {r.id: (rel_tol if rel_tol is not None
-                      else DEFAULT_TOLERANCES[r.difficulty]) for r in _ALL}
-
-    def one(item) -> VerificationResult:
-        record, pt = item
-        try:
-            p = _validate(record, pt)
-            lhs = record.lhs(p, budgets)
-            rhs = record.rhs(p, budgets)
-            return compare_sides(record, p, lhs, rhs, tol_for[record.id], abs_floor)
-        except Exception as exc:
-            bad = EvalResult(float("nan"), float("inf"), False, 0)
-            return VerificationResult(record.id, dict(pt), bad, bad,
-                                      float("nan"), float("nan"),
-                                      STATUS_INCONCLUSIVE, note=f"point error: {exc}")
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(one, work))
-    else:
-        entries = [one(item) for item in work]
-    entries.sort(key=lambda r: (_id_sort_key(r.identity), point_key(r.point)))
-    wall = time.perf_counter() - t0
+        entries += _verify_points(record, _grid_of(record, None), rel_tol, abs_floor, budgets)
     policy = dict(DEFAULT_TOLERANCES) if rel_tol is None else {"override": rel_tol}
-    return Report(__version__, _utc_now(), policy, entries, wall)
+    return _report(entries, policy, t0)

@@ -19,18 +19,10 @@ from scipy import special as sp
 from ..specfun import EvalResult, kelvin_bei, kelvin_bei_vec, kelvin_ber, kelvin_ber_vec
 from ..quad import (ExponentialDecay, Integrand, OscillationDescriptor,
                     integrate_semiinf_decaying, integrate_semiinf_oscillatory)
-from ._records import Budgets, Constraint, IdentityRecord, ParamSpace
+from ._records import (Budgets, Constraint, IdentityRecord, ParamSpace,
+                       closed_form, scaled)
 
 _M = 1e-6
-
-
-def _cf(value: float, rel: float = 5e-15) -> EvalResult:
-    return EvalResult(float(value), abs(float(value)) * rel + 1e-305, True, 1)
-
-
-def _kelvin_res(r: EvalResult, pref: float = 1.0) -> EvalResult:
-    return EvalResult(pref * r.value, abs(pref) * r.abs_err_est, r.converged,
-                      r.terms_or_nodes_used, r.note)
 
 
 # ----------------------------------------------------------------------
@@ -44,8 +36,8 @@ _KELVIN_RATE = 0.85
 
 def _i215_lhs(p, b: Budgets) -> EvalResult:
     a, y = p["a"], p["y"]
-    return _cf(0.5 * math.pi / math.sqrt(1 + y * y) * sp.jv(0, 0.25 * a * a)
-               * math.cosh(0.25 * a * a * y))
+    return closed_form(0.5 * math.pi / math.sqrt(1 + y * y) * sp.jv(0, 0.25 * a * a)
+                       * math.cosh(0.25 * a * a * y))
 
 
 def _i215_rhs(p, b: Budgets) -> EvalResult:
@@ -62,8 +54,8 @@ def _i215_rhs(p, b: Budgets) -> EvalResult:
 
 def _i216_lhs(p, b: Budgets) -> EvalResult:
     a, y = p["a"], p["y"]
-    return _cf(0.5 * math.pi / math.sqrt(1 + y * y) * sp.jv(0, 0.25 * a * a)
-               * math.sinh(0.25 * a * a * y))
+    return closed_form(0.5 * math.pi / math.sqrt(1 + y * y) * sp.jv(0, 0.25 * a * a)
+                       * math.sinh(0.25 * a * a * y))
 
 
 def _i216_rhs(p, b: Budgets) -> EvalResult:
@@ -80,7 +72,7 @@ def _i216_rhs(p, b: Budgets) -> EvalResult:
 
 def _i217_lhs(p, b: Budgets) -> EvalResult:
     a, y = p["a"], p["y"]
-    return _cf(sp.iv(0, 0.25 * a * a * y) * math.cos(0.25 * a * a) / math.sqrt(1 + y * y))
+    return closed_form(sp.iv(0, 0.25 * a * a * y) * math.cos(0.25 * a * a) / math.sqrt(1 + y * y))
 
 
 def _i217_rhs(p, b: Budgets) -> EvalResult:
@@ -97,7 +89,7 @@ def _i217_rhs(p, b: Budgets) -> EvalResult:
 
 def _i218_lhs(p, b: Budgets) -> EvalResult:
     a, y = p["a"], p["y"]
-    return _cf(sp.iv(0, 0.25 * a * a * y) * math.sin(0.25 * a * a) / math.sqrt(1 + y * y))
+    return closed_form(sp.iv(0, 0.25 * a * a * y) * math.sin(0.25 * a * a) / math.sqrt(1 + y * y))
 
 
 def _i218_rhs(p, b: Budgets) -> EvalResult:
@@ -179,10 +171,7 @@ I_2_18 = IdentityRecord(
 
 def _i219_lhs(p, b: Budgets) -> EvalResult:
     a, t = p["a"], p["t"]
-    k = kelvin_ber(0.0, a * math.sqrt(t))
-    v = sp.kv(0, t) * k.value
-    return EvalResult(v, abs(sp.kv(0, t)) * k.abs_err_est + abs(v) * 5e-15,
-                      k.converged, k.terms_or_nodes_used)
+    return scaled(kelvin_ber(0.0, a * math.sqrt(t)), sp.kv(0, t), rel=5e-15)
 
 
 def _i219_rhs(p, b: Budgets) -> EvalResult:
@@ -199,10 +188,7 @@ def _i219_rhs(p, b: Budgets) -> EvalResult:
 
 def _i220_lhs(p, b: Budgets) -> EvalResult:
     a, t = p["a"], p["t"]
-    k = kelvin_bei(0.0, a * math.sqrt(t))
-    v = sp.kv(0, t) * k.value
-    return EvalResult(v, abs(sp.kv(0, t)) * k.abs_err_est + abs(v) * 5e-15,
-                      k.converged, k.terms_or_nodes_used)
+    return scaled(kelvin_bei(0.0, a * math.sqrt(t)), sp.kv(0, t), rel=5e-15)
 
 
 def _i220_rhs(p, b: Budgets) -> EvalResult:
@@ -219,10 +205,7 @@ def _i220_rhs(p, b: Budgets) -> EvalResult:
 
 def _i221_lhs(p, b: Budgets) -> EvalResult:
     a, t = p["a"], p["t"]
-    k = kelvin_ber(0.0, a * math.sqrt(t))
-    v = math.exp(-t) / t * k.value
-    return EvalResult(v, math.exp(-t) / t * k.abs_err_est + abs(v) * 5e-15,
-                      k.converged, k.terms_or_nodes_used)
+    return scaled(kelvin_ber(0.0, a * math.sqrt(t)), math.exp(-t) / t, rel=5e-15)
 
 
 def _i221_rhs(p, b: Budgets) -> EvalResult:
@@ -240,10 +223,7 @@ def _i221_rhs(p, b: Budgets) -> EvalResult:
 
 def _i222_lhs(p, b: Budgets) -> EvalResult:
     a, t = p["a"], p["t"]
-    k = kelvin_bei(0.0, a * math.sqrt(t))
-    v = math.exp(-t) / t * k.value
-    return EvalResult(v, math.exp(-t) / t * k.abs_err_est + abs(v) * 5e-15,
-                      k.converged, k.terms_or_nodes_used)
+    return scaled(kelvin_bei(0.0, a * math.sqrt(t)), math.exp(-t) / t, rel=5e-15)
 
 
 def _i222_rhs(p, b: Budgets) -> EvalResult:
@@ -341,7 +321,7 @@ def _k1_lhs(p, b: Budgets) -> EvalResult:
 
 def _k1_rhs(p, b: Budgets) -> EvalResult:
     nu, th, u = p["nu"], p["theta"], p["u"]
-    return _cf(math.sin(u) / math.cos(th) * sp.jv(nu, u * math.sin(th)))
+    return closed_form(math.sin(u) / math.cos(th) * sp.jv(nu, u * math.sin(th)))
 
 
 I_K1 = IdentityRecord(
@@ -386,7 +366,7 @@ def _k1a_lhs(p, b: Budgets) -> EvalResult:
 
 def _k1a_rhs(p, b: Budgets) -> EvalResult:
     n, th, u = int(p["n"]), p["theta"], p["u"]
-    return _cf((-1.0) ** n * math.sin(u) / math.cos(th) * sp.jv(2 * n, u * math.sin(th)))
+    return closed_form((-1.0) ** n * math.sin(u) / math.cos(th) * sp.jv(2 * n, u * math.sin(th)))
 
 
 I_K1A = IdentityRecord(
@@ -431,7 +411,8 @@ def _k1b_lhs(p, b: Budgets) -> EvalResult:
 
 def _k1b_rhs(p, b: Budgets) -> EvalResult:
     n, th, u = int(p["n"]), p["theta"], p["u"]
-    return _cf((-1.0) ** n * math.sin(u) / math.cos(th) * sp.jv(2 * n + 1, u * math.sin(th)))
+    return closed_form((-1.0) ** n * math.sin(u) / math.cos(th)
+                       * sp.jv(2 * n + 1, u * math.sin(th)))
 
 
 I_K1B = IdentityRecord(

@@ -14,14 +14,22 @@ from ..specfun import EvalResult, gamma, hyp0f1, hyp0f3_vec, hyp2f1
 from ..quad import (EndpointSingularity, ExponentialDecay, Integrand,
                     OscillationDescriptor, integrate_finite,
                     integrate_semiinf_decaying, integrate_semiinf_oscillatory)
-from ._records import Budgets, Constraint, IdentityRecord, ParamSpace
+from ._records import (Budgets, Constraint, IdentityRecord, ParamSpace,
+                       closed_form, scaled)
 
 G = math.gamma
 _M = 1e-6  # strict-inequality margin
 
 
-def _cf(value: float, rel: float = 5e-15) -> EvalResult:
-    return EvalResult(float(value), abs(float(value)) * rel + 1e-305, True, 1)
+def _on_unit_interval(f, g: float, ends: tuple[float, ...]) -> Integrand:
+    """Integrand f(u, q), q = 1 - u^2, with (1 - u^2)^g behaviour at each
+    endpoint in ``ends``; the offset forms pass u = -1 + h or 1 - h and
+    q = h (2 - h), so q never goes through a rounded abscissa."""
+    def offset(e):
+        return lambda h: f(e - h if e > 0 else e + h, h * (2 - h))
+
+    return Integrand(lambda u: f(u, 1 - u * u),
+                     singularities=tuple(EndpointSingularity(e, g, offset(e)) for e in ends))
 
 
 def _first_j_zero(nu: float, t: float) -> float:
@@ -35,8 +43,8 @@ def _first_j_zero(nu: float, t: float) -> float:
 
 def _i24_lhs(p, b: Budgets) -> EvalResult:
     mu, nu, a, bb, x = p["mu"], p["nu"], p["a"], p["b"], p["x"]
-    return _cf(gamma(nu + 1) * gamma(mu + 1) * gamma(mu + nu + 1)
-               * sp.jv(mu, a * x) * sp.jv(nu, bb * x))
+    return closed_form(gamma(nu + 1) * gamma(mu + 1) * gamma(mu + nu + 1)
+                       * sp.jv(mu, a * x) * sp.jv(nu, bb * x))
 
 
 def _i24_rhs(p, b: Budgets) -> EvalResult:
@@ -54,8 +62,7 @@ def _i24_rhs(p, b: Budgets) -> EvalResult:
                                    0.0, 1e-11, max_evals=b.max_evals)
     pref = (4.0 * (0.5 * a * x) ** mu * (0.5 * bb * x) ** nu
             * (1.0 - q * q) ** (mu + nu + 1) * (a / bb) ** nu)
-    return EvalResult(pref * r.value, abs(pref) * r.abs_err_est, r.converged,
-                      r.terms_or_nodes_used, r.note)
+    return scaled(r, pref)
 
 
 I_2_4 = IdentityRecord(
@@ -208,8 +215,8 @@ I_2_7 = IdentityRecord(
 
 def _i29_lhs(p, b: Budgets) -> EvalResult:
     mu, nu, a, y = p["mu"], p["nu"], p["a"], p["y"]
-    return _cf(gamma(mu + 1) * gamma(nu + 1) * gamma(mu + nu + 1)
-               * sp.jv(mu, 0.25 * a * a) * sp.iv(nu, 0.25 * a * a * y))
+    return closed_form(gamma(mu + 1) * gamma(nu + 1) * gamma(mu + nu + 1)
+                       * sp.jv(mu, 0.25 * a * a) * sp.iv(nu, 0.25 * a * a * y))
 
 
 def _i29_rhs(p, b: Budgets) -> EvalResult:
@@ -224,8 +231,7 @@ def _i29_rhs(p, b: Budgets) -> EvalResult:
     r = integrate_semiinf_decaying(Integrand(fn, decay=ExponentialDecay(1.0)),
                                    0.0, 1e-11, max_evals=b.max_evals)
     pref = (a * a / 16.0) ** (mu + nu) * (1 + y * y) ** (mu + nu + 1)
-    return EvalResult(pref * r.value, abs(pref) * r.abs_err_est, r.converged,
-                      r.terms_or_nodes_used, r.note)
+    return scaled(r, pref)
 
 
 I_2_9 = IdentityRecord(
@@ -259,8 +265,8 @@ I_2_9 = IdentityRecord(
 def _i210_lhs(p, b: Budgets) -> EvalResult:
     mu, nu, a, y = p["mu"], p["nu"], p["a"], p["y"]
     w = 1 + y * y
-    return _cf(gamma(mu + 1) * gamma(nu + 1) * gamma(mu + nu + 1)
-               * sp.jv(mu, 4 * a / w) * sp.iv(nu, 4 * a * y / w))
+    return closed_form(gamma(mu + 1) * gamma(nu + 1) * gamma(mu + nu + 1)
+                       * sp.jv(mu, 4 * a / w) * sp.iv(nu, 4 * a * y / w))
 
 
 def _i210_rhs(p, b: Budgets) -> EvalResult:
@@ -274,8 +280,7 @@ def _i210_rhs(p, b: Budgets) -> EvalResult:
     r = integrate_semiinf_decaying(Integrand(fn, decay=ExponentialDecay(1.0)),
                                    0.0, 1e-11, max_evals=b.max_evals)
     pref = (1 + y * y) * a ** (mu + nu)
-    return EvalResult(pref * r.value, abs(pref) * r.abs_err_est, r.converged,
-                      r.terms_or_nodes_used, r.note)
+    return scaled(r, pref)
 
 
 I_2_10 = IdentityRecord(
@@ -313,7 +318,7 @@ I_2_10 = IdentityRecord(
 def _i211_lhs(p, b: Budgets) -> EvalResult:
     mu, nu, a, t = p["mu"], p["nu"], p["a"], p["t"]
     f = hyp0f3_vec(mu + 1, nu + 1, mu + nu + 1, np.array([-(a * t) ** 2]), b.max_terms)
-    return _cf((a * t) ** (mu + nu) * float(f[0]) * sp.kv(mu, t), rel=1e-13)
+    return closed_form((a * t) ** (mu + nu) * float(f[0]) * sp.kv(mu, t), rel=1e-13)
 
 
 def _i211_rhs(p, b: Budgets) -> EvalResult:
@@ -327,8 +332,7 @@ def _i211_rhs(p, b: Budgets) -> EvalResult:
     r = integrate_semiinf_oscillatory(Integrand(fn), 0.0, osc, 1e-9,
                                       max_cells=b.max_cells)
     pref = gamma(mu + 1) * gamma(nu + 1) * gamma(mu + nu + 1)
-    return EvalResult(pref * r.value, abs(pref) * r.abs_err_est, r.converged,
-                      r.terms_or_nodes_used, r.note)
+    return scaled(r, pref)
 
 
 I_2_11 = IdentityRecord(
@@ -367,7 +371,7 @@ I_2_11 = IdentityRecord(
 
 def _i212_lhs(p, b: Budgets) -> EvalResult:
     mu, nu, t = p["mu"], p["nu"], p["t"]
-    return _cf((0.5 * t) ** (mu + nu) * sp.kv(mu, t))
+    return closed_form((0.5 * t) ** (mu + nu) * sp.kv(mu, t))
 
 
 def _i212_rhs(p, b: Budgets) -> EvalResult:
@@ -380,8 +384,7 @@ def _i212_rhs(p, b: Budgets) -> EvalResult:
     r = integrate_semiinf_oscillatory(Integrand(fn), 0.0, osc, 1e-9,
                                       max_cells=b.max_cells)
     pref = gamma(mu + nu + 1)
-    return EvalResult(pref * r.value, abs(pref) * r.abs_err_est, r.converged,
-                      r.terms_or_nodes_used, r.note)
+    return scaled(r, pref)
 
 
 I_2_12 = IdentityRecord(
@@ -427,8 +430,8 @@ def _i224_lhs(p, b: Budgets) -> EvalResult:
 
 def _i224_rhs(p, b: Budgets) -> EvalResult:
     nu, al, be = p["nu"], p["alpha"], p["beta"]
-    return _cf(gamma(2 * nu + 2) / (4.0 * math.sqrt(al))
-               * be ** (-(2 * nu + 1)) * math.sin(4.0 * math.sqrt(al) / be))
+    return closed_form(gamma(2 * nu + 2) / (4.0 * math.sqrt(al))
+                       * be ** (-(2 * nu + 1)) * math.sin(4.0 * math.sqrt(al) / be))
 
 
 I_2_24 = IdentityRecord(
@@ -463,31 +466,25 @@ I_2_24 = IdentityRecord(
 
 def _i225_lhs(p, b: Budgets) -> EvalResult:
     nu, a, bb, x = p["nu"], p["a"], p["b"], p["x"]
-    return _cf(math.sin(a * x) * sp.jv(nu, bb * x))
+    return closed_form(math.sin(a * x) * sp.jv(nu, bb * x))
 
 
-def _i225_rhs(p, b: Budgets) -> EvalResult:
-    nu, a, bb, x = p["nu"], p["a"], p["b"], p["x"]
+def _i225_core(nu, a, bb, x, b: Budgets) -> EvalResult:
+    # the I-2.25 right side; I-2.26 is its a = 1, b = y, x = pi/2 case
     g = nu - 0.5
     c2 = a * a - bb * bb
 
-    def body(u):
-        return (1 - u * u) ** g / (a + bb * u) ** (2 * nu + 1) * np.sin(c2 * x / (a + bb * u))
+    def fn(u, q):
+        return q ** g / (a + bb * u) ** (2 * nu + 1) * np.sin(c2 * x / (a + bb * u))
 
-    def off_lo(h):
-        u = h - 1.0
-        return (h * (2 - h)) ** g / (a + bb * u) ** (2 * nu + 1) * np.sin(c2 * x / (a + bb * u))
-
-    def off_hi(h):
-        u = 1.0 - h
-        return (h * (2 - h)) ** g / (a + bb * u) ** (2 * nu + 1) * np.sin(c2 * x / (a + bb * u))
-
-    hints = (EndpointSingularity(-1.0, g, off_lo), EndpointSingularity(1.0, g, off_hi))
-    r = integrate_finite(Integrand(body, singularities=hints), -1.0, 1.0,
+    r = integrate_finite(_on_unit_interval(fn, g, (-1.0, 1.0)), -1.0, 1.0,
                          1e-11, abs_floor=1e-16, max_evals=b.max_evals)
     pref = (0.5 * bb * x) ** nu * c2 ** (nu + 0.5) / (math.sqrt(math.pi) * gamma(nu + 0.5))
-    return EvalResult(pref * r.value, abs(pref) * r.abs_err_est + 1e-300,
-                      r.converged, r.terms_or_nodes_used, r.note)
+    return scaled(r, pref)
+
+
+def _i225_rhs(p, b: Budgets) -> EvalResult:
+    return _i225_core(p["nu"], p["a"], p["b"], p["x"], b)
 
 
 I_2_25 = IdentityRecord(
@@ -519,31 +516,11 @@ I_2_25 = IdentityRecord(
 
 def _i226_lhs(p, b: Budgets) -> EvalResult:
     nu, y = p["nu"], p["y"]
-    return _cf(sp.jv(nu, 0.5 * math.pi * y))
+    return closed_form(sp.jv(nu, 0.5 * math.pi * y))
 
 
 def _i226_rhs(p, b: Budgets) -> EvalResult:
-    nu, y = p["nu"], p["y"]
-    g = nu - 0.5
-    w = 1 - y * y
-
-    def body(u):
-        return (1 - u * u) ** g / (1 + u * y) ** (2 * nu + 1) * np.sin(0.5 * math.pi * w / (1 + u * y))
-
-    def off_lo(h):
-        u = h - 1.0
-        return (h * (2 - h)) ** g / (1 + u * y) ** (2 * nu + 1) * np.sin(0.5 * math.pi * w / (1 + u * y))
-
-    def off_hi(h):
-        u = 1.0 - h
-        return (h * (2 - h)) ** g / (1 + u * y) ** (2 * nu + 1) * np.sin(0.5 * math.pi * w / (1 + u * y))
-
-    hints = (EndpointSingularity(-1.0, g, off_lo), EndpointSingularity(1.0, g, off_hi))
-    r = integrate_finite(Integrand(body, singularities=hints), -1.0, 1.0,
-                         1e-11, abs_floor=1e-16, max_evals=b.max_evals)
-    pref = (0.25 * math.pi * y) ** nu * w ** (nu + 0.5) / (math.sqrt(math.pi) * gamma(nu + 0.5))
-    return EvalResult(pref * r.value, abs(pref) * r.abs_err_est + 1e-300,
-                      r.converged, r.terms_or_nodes_used, r.note)
+    return _i225_core(p["nu"], 1.0, p["y"], 0.5 * math.pi, b)
 
 
 I_2_26 = IdentityRecord(
@@ -584,7 +561,7 @@ def _i230_lhs(p, b: Budgets) -> EvalResult:
 
 def _i230_rhs(p, b: Budgets) -> EvalResult:
     nu, a, bb, x = p["nu"], p["a"], p["b"], p["x"]
-    return _cf(sp.jv(nu, a * x) * sp.jv(nu, bb * x))
+    return closed_form(sp.jv(nu, a * x) * sp.jv(nu, bb * x))
 
 
 I_2_30 = IdentityRecord(
@@ -659,7 +636,7 @@ I_2_35 = IdentityRecord(
 
 def _i237_lhs(p, b: Budgets) -> EvalResult:
     nu, a, bb, x = p["nu"], p["a"], p["b"], p["x"]
-    return _cf(sp.jv(nu, a * x) * sp.jv(nu, bb * x))
+    return closed_form(sp.jv(nu, a * x) * sp.jv(nu, bb * x))
 
 
 def _i237_core(nu, c, w, budgets: Budgets) -> EvalResult:
@@ -667,16 +644,10 @@ def _i237_core(nu, c, w, budgets: Budgets) -> EvalResult:
     g = nu - 0.5
     b1, b2, b3 = nu + 1.0, 0.5 * nu + 0.25, 0.5 * nu + 0.75
 
-    def body(t):
-        q = 1 - t * t
+    def fn(t, q):
         return q ** g * np.cos(c * t) * hyp0f3_vec(b1, b2, b3, w * q * q, budgets.max_terms)
 
-    def off_hi(h):
-        q = h * (2 - h)
-        return q ** g * np.cos(c * (1 - h)) * hyp0f3_vec(b1, b2, b3, w * q * q, budgets.max_terms)
-
-    hints = (EndpointSingularity(1.0, g, off_hi),)
-    return integrate_finite(Integrand(body, singularities=hints), 0.0, 1.0,
+    return integrate_finite(_on_unit_interval(fn, g, (1.0,)), 0.0, 1.0,
                             1e-11, abs_floor=1e-16, max_evals=budgets.max_evals)
 
 
@@ -684,8 +655,7 @@ def _i237_rhs(p, b: Budgets) -> EvalResult:
     nu, a, bb, x = p["nu"], p["a"], p["b"], p["x"]
     r = _i237_core(nu, x * math.hypot(a, bb), a * a * bb * bb * x ** 4 / 64.0, b)
     pref = 2.0 / (math.pi * gamma(2 * nu + 1)) * (a * bb * x * x) ** nu
-    return EvalResult(pref * r.value, abs(pref) * r.abs_err_est + 1e-300,
-                      r.converged, r.terms_or_nodes_used, r.note)
+    return scaled(r, pref)
 
 
 I_2_37 = IdentityRecord(
@@ -719,15 +689,14 @@ def _i238_lhs(p, b: Budgets) -> EvalResult:
     nu, u = p["nu"], p["u"]
     ap = 0.5 * (math.sqrt(u * u + 2) + math.sqrt(u * u - 2))
     am = 0.5 * (math.sqrt(u * u + 2) - math.sqrt(u * u - 2))
-    return _cf(sp.jv(nu, ap) * sp.jv(nu, am))
+    return closed_form(sp.jv(nu, ap) * sp.jv(nu, am))
 
 
 def _i238_rhs(p, b: Budgets) -> EvalResult:
     nu, u = p["nu"], p["u"]
     r = _i237_core(nu, u, 1.0 / 64.0, b)
     pref = 2.0 / (math.pi * gamma(2 * nu + 1))
-    return EvalResult(pref * r.value, abs(pref) * r.abs_err_est + 1e-300,
-                      r.converged, r.terms_or_nodes_used, r.note)
+    return scaled(r, pref)
 
 
 I_2_38 = IdentityRecord(
@@ -759,23 +728,18 @@ def _i239_lhs(p, b: Budgets) -> EvalResult:
     a, bb, u = p["a"], p["b"], p["u"]
     c = math.sqrt((a * a + bb * bb) / (2 * a * bb))
 
-    def body(t):
-        s = np.sqrt(1 - t * t)
+    def fn(t, q):
+        s = np.sqrt(q)
         return np.cos(u * c * t) * (sp.iv(1, u * s) + sp.jv(1, u * s)) / s
 
-    def off_hi(h):
-        s = np.sqrt(h * (2 - h))
-        return np.cos(u * c * (1 - h)) * (sp.iv(1, u * s) + sp.jv(1, u * s)) / s
-
-    hints = (EndpointSingularity(1.0, -0.5, off_hi),)
-    return integrate_finite(Integrand(body, singularities=hints), 0.0, 1.0,
+    return integrate_finite(_on_unit_interval(fn, -0.5, (1.0,)), 0.0, 1.0,
                             1e-11, abs_floor=1e-16, max_evals=b.max_evals)
 
 
 def _i239_rhs(p, b: Budgets) -> EvalResult:
     a, bb, u = p["a"], p["b"], p["u"]
-    return _cf(2.0 / u * math.sin(u * math.sqrt(a / (2 * bb)))
-               * math.sin(u * math.sqrt(bb / (2 * a))))
+    return closed_form(2.0 / u * math.sin(u * math.sqrt(a / (2 * bb)))
+                       * math.sin(u * math.sqrt(bb / (2 * a))))
 
 
 I_2_39 = IdentityRecord(

@@ -15,13 +15,9 @@ from scipy import special as sp
 from .. import series as se
 from ..specfun import EvalResult, gamma, hyp0f3_vec
 from ..quad import ExponentialDecay, Integrand, integrate_semiinf_decaying
-from ._records import Budgets, Constraint, IdentityRecord, ParamSpace
+from ._records import Budgets, Constraint, IdentityRecord, ParamSpace, closed_form
 
 _M = 1e-6
-
-
-def _cf(value: float, rel: float = 5e-15) -> EvalResult:
-    return EvalResult(float(value), abs(float(value)) * rel + 1e-305, True, 1)
 
 
 # ----------------------------------------------------------------------
@@ -42,7 +38,7 @@ def _i231_lhs(p, b: Budgets) -> EvalResult:
 def _i231_rhs(p, b: Budgets) -> EvalResult:
     nu, r, pp, c = p["nu"], p["r"], p["p"], p["c"]
     k = nu + 2 * r
-    return _cf(c ** k / (2 * pp) ** (k + 1) * math.exp(-c * c / (4 * pp)))
+    return closed_form(c ** k / (2 * pp) ** (k + 1) * math.exp(-c * c / (4 * pp)))
 
 
 I_2_31 = IdentityRecord(
@@ -90,8 +86,8 @@ def _i232_lhs(p, b: Budgets) -> EvalResult:
 
 def _i232_rhs(p, b: Budgets) -> EvalResult:
     nu, a, bb, pp = p["nu"], p["a"], p["b"], p["p"]
-    return _cf(0.5 / pp * math.exp(-(a * a + bb * bb) / (4 * pp))
-               * sp.iv(nu, a * bb / (2 * pp)))
+    return closed_form(0.5 / pp * math.exp(-(a * a + bb * bb) / (4 * pp))
+                       * sp.iv(nu, a * bb / (2 * pp)))
 
 
 I_2_32 = IdentityRecord(
@@ -285,8 +281,8 @@ def _i321_lhs(p, b: Budgets) -> EvalResult:
 
 def _i321_rhs(p, b: Budgets) -> EvalResult:
     mu, nu, a, be = p["mu"], p["nu"], p["a"], p["beta"]
-    return _cf((2 * a) ** (1 - mu) * gamma(mu) * gamma(2 * nu)
-               * be ** (mu - 2 * nu - 1) * sp.jv(mu - 1, 4 * a / be))
+    return closed_form((2 * a) ** (1 - mu) * gamma(mu) * gamma(2 * nu)
+                       * be ** (mu - 2 * nu - 1) * sp.jv(mu - 1, 4 * a / be))
 
 
 I_3_21 = IdentityRecord(
@@ -336,7 +332,7 @@ def _i322_lhs(p, b: Budgets) -> EvalResult:
 
 def _i322_rhs(p, b: Budgets) -> EvalResult:
     a = p["a"]
-    return _cf(-math.log1p(-a ** 4) / (2 * math.pi * a * a))
+    return closed_form(-math.log1p(-a ** 4) / (2 * math.pi * a * a))
 
 
 I_3_22 = IdentityRecord(

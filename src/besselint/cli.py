@@ -101,7 +101,7 @@ def _build_parser() -> _Parser:
     vp.add_argument("--json", action="store_true", help="shorthand for --format json")
     vp.add_argument("--out", help="write the report to this path")
     vp.add_argument("--jobs", type=int, default=1,
-                    help="parallel point evaluations (output is identical for any N)")
+                    help="deprecated and ignored: points are verified serially")
     vp.add_argument("--strict", action="store_true",
                     help="treat inconclusive entries as failures")
     vp.add_argument("--max-terms", type=int, default=10_000)
@@ -234,6 +234,9 @@ def _cmd_verify(args) -> int:
     if args.tol is not None and args.tol <= 0.0:
         print("besselint: error: --tol must be > 0", file=sys.stderr)
         return EXIT_BADFLAGS
+    if not args.abs_floor > 0.0:
+        print("besselint: error: --abs-floor must be > 0", file=sys.stderr)
+        return EXIT_BADFLAGS
     if args.jobs < 1:
         print("besselint: error: --jobs must be >= 1", file=sys.stderr)
         return EXIT_BADFLAGS
@@ -244,7 +247,7 @@ def _cmd_verify(args) -> int:
                   file=sys.stderr)
             return EXIT_BADFLAGS
         report = catalog.run_all(rel_tol=args.tol, abs_floor=args.abs_floor,
-                                 budgets=budgets, jobs=args.jobs)
+                                 budgets=budgets)
     else:
         try:
             record = catalog.get_identity(args.target)
@@ -263,7 +266,7 @@ def _cmd_verify(args) -> int:
                 return EXIT_BADFLAGS
         report = catalog.verify_grid(record.id, space_override=space,
                                      rel_tol=args.tol, abs_floor=args.abs_floor,
-                                     budgets=budgets, jobs=args.jobs)
+                                     budgets=budgets)
 
     if fmt == "json":
         text = json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n"

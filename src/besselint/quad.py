@@ -271,7 +271,9 @@ def integrate_finite(f, a: float, b: float, tol: float, *,
     Terminates when the summed interval error estimates drop below
     ``max(tol * |result|, abs_floor)``; the worst interval is bisected
     first.  Declared endpoint singularities are removed by a power
-    substitution before any abscissa is generated.
+    substitution before any abscissa is generated.  The first panel with
+    a non-finite integrand value ends the run unconverged, with a partial
+    sum and an infinite error estimate.
     """
     a, b = float(a), float(b)
     if not (a < b):
@@ -285,7 +287,11 @@ def integrate_finite(f, a: float, b: float, tol: float, *,
     evals = 0
     frozen_val = 0.0  # intervals too narrow to split further
     frozen_err = 0.0
-    bad = False
+
+    def nonfinite() -> EvalResult:
+        return EvalResult(math.fsum(item[4] for item in heap) + frozen_val, math.inf,
+                          False, evals, note="integrate_finite: non-finite integrand value")
+
     for fn, lo, hi in _split_pieces(f, a, b):
         n0 = max(1, int(initial_intervals))
         step = (hi - lo) / n0
@@ -294,7 +300,8 @@ def integrate_finite(f, a: float, b: float, tol: float, *,
             hi_i = hi if i == n0 - 1 else lo + (i + 1) * step
             val, err, ok = _gk15(fn, lo_i, hi_i)
             evals += 15
-            bad |= not ok
+            if not ok:
+                return nonfinite()
             count += 1
             heapq.heappush(heap, (-err, count, lo_i, hi_i, val, err, fn))
 
@@ -322,7 +329,8 @@ def integrate_finite(f, a: float, b: float, tol: float, *,
         v1, e1, ok1 = _gk15(fn, lo, mid)
         v2, e2, ok2 = _gk15(fn, mid, hi)
         evals += 30
-        bad |= not (ok1 and ok2)
+        if not (ok1 and ok2):
+            return nonfinite()
         count += 2
         heapq.heappush(heap, (-e1, count - 1, lo, mid, v1, e1, fn))
         heapq.heappush(heap, (-e2, count, mid, hi, v2, e2, fn))
@@ -337,8 +345,6 @@ def integrate_finite(f, a: float, b: float, tol: float, *,
     total, err_total = totals()
     note = "integrate_finite: node budget exhausted" if evals >= max_evals \
         else "integrate_finite: no splittable intervals left"
-    if bad:
-        note += " (non-finite integrand values encountered)"
     return EvalResult(total, err_total if math.isfinite(err_total) else abs(total),
                       False, evals, note=note)
 
@@ -436,14 +442,6 @@ def _eps_corners(partial_sums: Sequence[float]) -> list[float]:
     return [cols[k][-1] for k in range(0, k_best + 1, 2)]
 
 
-def _eps_corner(partial_sums: Sequence[float]) -> tuple[float, float]:
-    corners = _eps_corners(partial_sums)
-    value = corners[-1]
-    err = (abs(corners[-1] - corners[-2]) if len(corners) >= 2 else abs(value)) \
-        + 4.0 * _EPS * abs(value)
-    return value, err
-
-
 def epsilon_extrapolate(partial_sums: Sequence[float]) -> EvalResult:
     """Accelerate a sequence of partial sums with Wynn's epsilon table.
 
@@ -521,7 +519,7 @@ def integrate_semiinf_oscillatory(f, a: float, osc: OscillationDescriptor | None
         if k == 0:
             cell_floor = max(abs_floor, 1e-3 * tol * abs(running))
         if k >= 2:
-            corner, _ = _eps_corner(partial)
+            corner = _eps_corners(partial)[-1]
             if prev_extrap is not None:
                 scale = max(abs(corner), abs_floor / max(tol, _EPS))
                 diff = abs(corner - prev_extrap)

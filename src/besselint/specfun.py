@@ -340,9 +340,9 @@ def _check_poles(bs, who: str) -> None:
 def _hyp0fq_vec(bs: tuple[float, ...], z: np.ndarray, max_terms: int, tol_scale: float = 1.0):
     """Sum sum_k z^k / (k! * prod (b)_k) over an array of z.
 
-    Returns (value, abs_err, terms, converged).  Compensated summation;
-    stop after three consecutive terms below eps*scale; cancellation is
-    tracked through the running sum of |term|.
+    Returns (value, abs_err, terms, converged), ``converged`` per element.
+    Compensated summation; stop after three consecutive terms below
+    eps*scale; cancellation is tracked through the running sum of |term|.
     """
     z = np.asarray(z, dtype=float)
     term = np.ones(z.shape, dtype=float)
@@ -351,7 +351,6 @@ def _hyp0fq_vec(bs: tuple[float, ...], z: np.ndarray, max_terms: int, tol_scale:
     abs_sum = np.ones(z.shape, dtype=float)
     small_run = np.zeros(z.shape, dtype=np.int64)
     eps_stop = _EPS * tol_scale
-    converged = False
     k = 0
     while k < max_terms:
         denom = float(k + 1)
@@ -368,23 +367,29 @@ def _hyp0fq_vec(bs: tuple[float, ...], z: np.ndarray, max_terms: int, tol_scale:
         small_run = np.where(at <= eps_stop * scale, small_run + 1, 0)
         k += 1
         if np.all(small_run >= 3):
-            converged = True
             break
     err = np.abs(term) + 4.0 * _EPS * abs_sum
-    return total, err, k, converged
+    return total, err, k, small_run >= 3
+
+
+def _hyp0fq_values(bs: tuple[float, ...], z: np.ndarray, max_terms: int) -> np.ndarray:
+    # NaN where the stopping rule was not met, so that an integrand never
+    # consumes an unconverged partial sum as a value
+    total, _, _, ok = _hyp0fq_vec(bs, z, max_terms)
+    return total if ok.all() else np.where(ok, total, np.nan)
 
 
 def hyp0f1_vec(c: float, z: np.ndarray, max_terms: int = 10000) -> np.ndarray:
-    """Vectorized 0F1(;c;z) values (integrand use; no error reporting)."""
+    """Vectorized 0F1(;c;z) values, NaN where the series did not converge."""
     _check_poles((c,), "hyp0f1")
-    return _hyp0fq_vec((float(c),), z, max_terms)[0]
+    return _hyp0fq_values((float(c),), z, max_terms)
 
 
 def hyp0f3_vec(b1: float, b2: float, b3: float, z: np.ndarray,
                max_terms: int = 10000) -> np.ndarray:
-    """Vectorized 0F3(;b1,b2,b3;z) values (integrand use)."""
+    """Vectorized 0F3(;b1,b2,b3;z) values, NaN where the series did not converge."""
     _check_poles((b1, b2, b3), "hyp0f3")
-    return _hyp0fq_vec((float(b1), float(b2), float(b3)), z, max_terms)[0]
+    return _hyp0fq_values((float(b1), float(b2), float(b3)), z, max_terms)
 
 
 def _hyp0fq_scalar(bs, z: float, max_terms: int, who: str) -> EvalResult:
@@ -392,7 +397,8 @@ def _hyp0fq_scalar(bs, z: float, max_terms: int, who: str) -> EvalResult:
     z = float(z)
     if z < -1e6:
         raise DomainError(f"{who}: z={z!r} below the supported window z >= -1e6")
-    v, err, terms, ok = _hyp0fq_vec(tuple(float(b) for b in bs), np.array([z]), max_terms)
+    v, err, terms, done = _hyp0fq_vec(tuple(float(b) for b in bs), np.array([z]), max_terms)
+    ok = bool(done[0])
     return EvalResult(float(v[0]), float(err[0]), ok, terms,
                       note="" if ok else f"{who}: stopping rule not met in {max_terms} terms")
 

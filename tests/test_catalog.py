@@ -125,6 +125,18 @@ def test_point_error_becomes_inconclusive():
     assert "point error" in bad.note
 
 
+def test_jobs_is_deprecated_and_ignored():
+    serial = catalog.verify_grid("I-3.22", jobs=1)
+    with pytest.warns(DeprecationWarning):
+        other = catalog.verify_grid("I-3.22", jobs=2)
+    assert other.entries == serial.entries
+
+
+def test_grid_rejects_nonpositive_abs_floor():
+    with pytest.raises(ConstraintError, match="abs_floor"):
+        catalog.verify_grid("I-3.22", abs_floor=0.0)
+
+
 def test_watch_identity_reports_ratio():
     r = catalog.verify("I-3.21", {"mu": 1.0, "nu": 1.0, "a": 0.5, "beta": 1.0})
     assert r.status == "inconclusive"
@@ -190,6 +202,7 @@ def test_report_roundtrip():
     d = rep.to_dict()
     back = Report.from_dict(d)
     assert back.to_dict() == d
+    assert back.entries == rep.entries
     assert d["summary"]["pass"] == len(d["entries"])
     assert d["artifact_version"]
     assert "T" in d["timestamp"]

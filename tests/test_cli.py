@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import time
 
 import pytest
 
@@ -103,6 +104,8 @@ def test_verify_bad_flags_exit3(capsys):
     assert code == 3
     code, _, err = run(capsys, ["verify", "I-2.32", "--jobs", "0"])
     assert code == 3
+    code, _, err = run(capsys, ["verify", "I-2.32", "--abs-floor", "0"])
+    assert code == 3 and "--abs-floor" in err
 
 
 def test_verify_json_report_schema(capsys, tmp_path):
@@ -132,6 +135,14 @@ def test_verify_determinism_and_jobs_invariance(capsys, tmp_path):
         rep.pop("timestamp")
         rep["summary"].pop("wall_time_s")
     assert reports[0] == reports[1] == reports[2]
+
+
+def test_unconverged_kernel_is_inconclusive_not_fail(capsys):
+    # a 5-term 0F3 budget cannot converge inside the I-2.4 integrand
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, ["verify", "I-2.4", "--max-terms", "5"])
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 0 and "fail=0" in out and "pass=0" in out
 
 
 def test_verify_strict_inconclusive(capsys):

@@ -80,6 +80,17 @@ def test_budget_exhaustion_flagged():
     assert "budget" in r.note
 
 
+def test_nonfinite_integrand_stops_at_once():
+    # NaN on [0.3, 0.7]: the first non-finite panel ends the run
+    def f(x):
+        return np.where((x > 0.3) & (x < 0.7), np.nan, np.sin(x))
+
+    r = integrate_finite(f, 0.0, 1.0, 1e-10, max_evals=1_000_000)
+    assert not r.converged
+    assert "non-finite" in r.note
+    assert r.terms_or_nodes_used <= 1000
+
+
 def test_bad_interval():
     with pytest.raises(DomainError):
         integrate_finite(lambda x: x, 1.0, 0.0, 1e-8)

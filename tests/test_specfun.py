@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -254,6 +255,16 @@ def test_hyp0f3_cancellation_err_tracking():
     r = sf.hyp0f3(0.5, 0.5, 1.0, -1e4)
     assert r.converged
     assert r.abs_err_est > 1e-12 * abs(r.value)
+
+
+def test_vec_series_nan_where_not_converged():
+    # five terms cannot sum 0F3 at z = -100, but suffice at z = 1e-6
+    z = np.array([1e-6, -100.0])
+    v = sf.hyp0f3_vec(1.0, 1.0, 1.0, z, max_terms=5)
+    assert math.isfinite(v[0]) and math.isnan(v[1])
+    v = sf.hyp0f1_vec(1.0, z, max_terms=5)
+    assert math.isfinite(v[0]) and math.isnan(v[1])
+    assert not sf.hyp0f3(1.0, 1.0, 1.0, -100.0, max_terms=5).converged
 
 
 def test_hyp0f1_matches_bessel_series():
