@@ -118,9 +118,9 @@ def _i26_lhs(p, b: Budgets) -> EvalResult:
 def _i26_rhs(p, b: Budgets) -> EvalResult:
     mu, nu, s, q = p["mu"], p["nu"], p["s"], p["q"]
     f21 = hyp2f1(0.5 * (nu + mu + s + 1), 0.5 * (nu - mu + s + 1), nu + 1, q * q)
-    v = (q ** nu / (4.0 * gamma(nu + 1))
-         * gamma(0.5 * (mu + nu + s + 1)) * gamma(0.5 * (nu - mu + s + 1)) * f21.value)
-    return EvalResult(v, abs(v) * 1e-13 + f21.abs_err_est, f21.converged, 1)
+    pref = (q ** nu / (4.0 * gamma(nu + 1))
+            * gamma(0.5 * (mu + nu + s + 1)) * gamma(0.5 * (nu - mu + s + 1)))
+    return scaled(f21, pref, rel=1e-13)
 
 
 I_2_6 = IdentityRecord(
@@ -175,10 +175,9 @@ def _i27_lhs(p, b: Budgets) -> EvalResult:
 def _i27_rhs(p, b: Budgets) -> EvalResult:
     mu, nu, s, a, bb = p["mu"], p["nu"], p["s"], p["a"], p["b"]
     f21 = hyp2f1(0.5 * (nu - mu - s + 1), 0.5 * (nu + mu - s + 1), nu + 1, (bb / a) ** 2)
-    v = (2.0 ** -s * bb ** nu * a ** (s - nu - 1)
-         * gamma(0.5 * (mu + nu - s + 1)) / (gamma(nu + 1) * gamma(0.5 * (mu - nu + s + 1)))
-         * f21.value)
-    return EvalResult(v, abs(v) * 1e-13 + f21.abs_err_est, f21.converged, 1)
+    pref = (2.0 ** -s * bb ** nu * a ** (s - nu - 1)
+            * gamma(0.5 * (mu + nu - s + 1)) / (gamma(nu + 1) * gamma(0.5 * (mu - nu + s + 1))))
+    return scaled(f21, pref, rel=1e-13)
 
 
 I_2_7 = IdentityRecord(

@@ -273,7 +273,9 @@ def integrate_finite(f, a: float, b: float, tol: float, *,
     first.  Declared endpoint singularities are removed by a power
     substitution before any abscissa is generated.  The first panel with
     a non-finite integrand value ends the run unconverged, with a partial
-    sum and an infinite error estimate.
+    sum and an infinite error estimate.  At most ``max_evals`` nodes are
+    spent: the initial grid is thinned to fit, and a budget below one
+    panel per piece returns unconverged without evaluating f.
     """
     a, b = float(a), float(b)
     if not (a < b):
@@ -292,8 +294,11 @@ def integrate_finite(f, a: float, b: float, tol: float, *,
         return EvalResult(math.fsum(item[4] for item in heap) + frozen_val, math.inf,
                           False, evals, note="integrate_finite: non-finite integrand value")
 
-    for fn, lo, hi in _split_pieces(f, a, b):
-        n0 = max(1, int(initial_intervals))
+    pieces = _split_pieces(f, a, b)
+    n0 = min(max(1, int(initial_intervals)), max_evals // (15 * len(pieces)))
+    if n0 < 1:
+        return EvalResult(0.0, math.inf, False, 0, note="integrate_finite: node budget exhausted")
+    for fn, lo, hi in pieces:
         step = (hi - lo) / n0
         for i in range(n0):
             lo_i = lo + i * step
@@ -316,7 +321,7 @@ def integrate_finite(f, a: float, b: float, tol: float, *,
         target = max(tol * abs(total), abs_floor)
         if err_total <= target and not math.isinf(err_total):
             return EvalResult(total, err_total, True, evals)
-        if evals >= max_evals or not heap:
+        if evals + 30 > max_evals or not heap:
             break
         _, _, lo, hi, val, err, fn = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
@@ -343,7 +348,7 @@ def integrate_finite(f, a: float, b: float, tol: float, *,
             since_resync = 0
 
     total, err_total = totals()
-    note = "integrate_finite: node budget exhausted" if evals >= max_evals \
+    note = "integrate_finite: node budget exhausted" if evals + 30 > max_evals \
         else "integrate_finite: no splittable intervals left"
     return EvalResult(total, err_total if math.isfinite(err_total) else abs(total),
                       False, evals, note=note)
@@ -360,7 +365,8 @@ def integrate_semiinf_decaying(f, a: float, tol: float, *,
 
     The truncation point T is pushed out until the sampled-envelope tail
     bound  max|f| * exp(-rate*(t-T)) / rate  falls below half the error
-    budget; the finite part then gets the other half.
+    budget; the finite part then gets the other half.  The coarse pass,
+    the tail probes and the finite part share the one ``max_evals``.
     """
     f = _as_integrand(f)
     if not isinstance(f.decay, ExponentialDecay):
@@ -399,11 +405,12 @@ def integrate_semiinf_decaying(f, a: float, tol: float, *,
                           note="integrate_semiinf_decaying: tail probe non-finite")
 
     seeds = min(64, max(8, int(round((T - a) * lam / 4.0))))
+    spent = coarse.terms_or_nodes_used + evals_probe
     fine = integrate_finite(f, a, T, 0.5 * tol,
                             abs_floor=0.5 * budget,
-                            max_evals=max_evals,
+                            max_evals=max_evals - spent,
                             initial_intervals=seeds)
-    nodes = fine.terms_or_nodes_used + coarse.terms_or_nodes_used + evals_probe
+    nodes = fine.terms_or_nodes_used + spent
     note = fine.note
     if not fine.converged and not note:
         note = "integrate_semiinf_decaying: finite part did not converge"
@@ -481,6 +488,8 @@ def integrate_semiinf_oscillatory(f, a: float, osc: OscillationDescriptor | None
     Cells of one asymptotic period are integrated with the finite engine;
     the partial-sum sequence is extrapolated after each new cell and the
     run stops once two successive extrapolants agree within tol*scale.
+    The first cell that does not converge ends the run unconverged, with
+    the partial sum, an infinite error estimate and that cell's note.
     """
     f = _as_integrand(f)
     if osc is None:
@@ -514,6 +523,8 @@ def integrate_semiinf_oscillatory(f, a: float, osc: OscillationDescriptor | None
                              initial_intervals=2)
         evals += r.terms_or_nodes_used
         running += r.value
+        if not r.converged:
+            return EvalResult(running, math.inf, False, evals, note=r.note)
         cell_err += r.abs_err_est
         partial.append(running)
         if k == 0:

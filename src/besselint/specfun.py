@@ -4,10 +4,11 @@ Gamma, Bessel J/Y/I/K of real order, Kelvin ber/bei of real order,
 generalized hypergeometric series (0F1, 0F3, 2F1) and the classical
 orthogonal polynomials used by the series evaluators.
 
-The classical kernels (gamma, J, Y, I, K, 2F1) are backed by
-``scipy.special``; the Kelvin functions of general order and the
-0F1/0F3 series are summed here directly, with compensated summation,
-an envelope-based stopping rule and cancellation tracking.
+The classical kernels (gamma, J, Y, I, K, 2F1) and the Kelvin functions
+of general order (J_nu along the ray arg z = 3*pi/4) are backed by
+``scipy.special``; only the 0F1/0F3 series are summed here directly,
+with compensated summation, an envelope-based stopping rule and
+cancellation tracking.
 
 Every evaluation is pure and reentrant: no caches, no shared state.
 Scalar results are returned as :class:`EvalResult`; the ``*_vec``
@@ -16,6 +17,7 @@ helpers operate on float64 arrays and are meant for integrand code.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -57,8 +59,8 @@ _EPS = 2.0 ** -52
 ORDER_MIN = -120.0
 ORDER_MAX = 1200.0
 
-# Kelvin series cap: beyond this the alternating series loses too many
-# digits in binary64 to be worth returning.
+# Documented domain of the scalar Kelvin functions (the vector forms take
+# any x >= 0).  |ber + i*bei| grows like exp(x/sqrt 2): about 3e35 at the edge.
 _KELVIN_X_MAX = 120.0
 
 
@@ -144,11 +146,6 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def _rgamma(x):
-    # 1/Gamma with exact zeros at the poles (used by series coefficients)
-    return _sp.rgamma(x)
-
-
 # ----------------------------------------------------------------------
 # Bessel J, Y, I, K wrappers
 # ----------------------------------------------------------------------
@@ -229,60 +226,13 @@ def bessel_k_scaled(nu: float, x: float) -> EvalResult:
 # ----------------------------------------------------------------------
 # Kelvin functions of general real order
 # ----------------------------------------------------------------------
-#
-# ber_nu(x) + i*bei_nu(x) = J_nu(x * exp(3*pi*i/4)), summed in real
-# arithmetic: term k of the J series carries the phase (3*nu/4 + k/2)*pi,
-# so consecutive terms are one exact quarter-turn apart.
 
-def _kelvin_both_vec(nu: float, x: np.ndarray, max_terms: int = 500):
-    """Return (ber, bei, abs_err, terms) arrays for x > 0 (vector core)."""
-    x = np.asarray(x, dtype=float)
-    half = x / 2.0
-    ratio_base = half * half  # (x/2)^2, multiplied into each term
+_KELVIN_RAY = cmath.exp(0.75j * math.pi)
 
-    if nu < 0.0 and float(nu) == math.floor(nu):
-        k0 = int(-nu)
-        # first non-vanishing coefficient: 1/(k0! * Gamma(nu+k0+1)) = 1/k0!
-        t = half ** (nu + 2 * k0) / math.factorial(k0)
-    else:
-        k0 = 0
-        t = half ** nu * _rgamma(nu + 1.0)
 
-    theta0 = 0.75 * math.pi * nu + 0.5 * math.pi * k0
-    c, s = math.cos(theta0), math.sin(theta0)
-
-    ber = t * c
-    bei = t * s
-    comp_r = np.zeros_like(ber)
-    comp_i = np.zeros_like(bei)
-    env_sum = np.abs(t).astype(float)
-    small_run = np.zeros(x.shape, dtype=np.int64)
-    k = k0
-    converged = False
-    while k - k0 < max_terms:
-        k += 1
-        t = t * ratio_base / (k * (nu + k))
-        c, s = -s, c  # advance the phase by pi/2 exactly
-        term_r = t * c
-        term_i = t * s
-        # Kahan update of both components
-        y = term_r - comp_r
-        tt = ber + y
-        comp_r = (tt - ber) - y
-        ber = tt
-        y = term_i - comp_i
-        tt = bei + y
-        comp_i = (tt - bei) - y
-        bei = tt
-        env = np.abs(t)
-        env_sum += env
-        scale = np.maximum(np.maximum(np.abs(ber), np.abs(bei)), _EPS * env_sum)
-        small_run = np.where(env <= _EPS * scale, small_run + 1, 0)
-        if np.all(small_run >= 3):
-            converged = True
-            break
-    err = np.abs(t) + 4.0 * _EPS * env_sum
-    return ber, bei, err, k - k0, converged
+def _kelvin_complex(nu: float, x):
+    """ber_nu(x) + i*bei_nu(x) = J_nu(x * exp(3*pi*i/4)), by scipy's complex jv."""
+    return _sp.jv(nu, np.asarray(x, dtype=float) * _KELVIN_RAY)
 
 
 def _kelvin_scalar(nu: float, x: float, component: int) -> EvalResult:
@@ -291,20 +241,19 @@ def _kelvin_scalar(nu: float, x: float, component: int) -> EvalResult:
     if x < 0.0:
         raise DomainError(f"kelvin: requires x >= 0, got x={x!r}")
     if x > _KELVIN_X_MAX:
-        raise DomainError(
-            f"kelvin: x={x!r} beyond supported cancellation window (x <= {_KELVIN_X_MAX})"
-        )
+        raise DomainError(f"kelvin: x={x!r} beyond the supported domain (x <= {_KELVIN_X_MAX})")
     if x == 0.0:
         if nu < 0.0 and nu != math.floor(nu):
             raise DomainError("kelvin: x = 0 is only admissible for nu >= 0 or integer nu")
         if component == 0:
             return EvalResult(1.0 if nu == 0.0 else 0.0, 0.0, True, 1)
         return EvalResult(0.0, 0.0, True, 1)
-    arr = np.array([x])
-    ber, bei, err, terms, ok = _kelvin_both_vec(nu, arr)
-    v = float(ber[0] if component == 0 else bei[0])
-    return EvalResult(v, float(err[0]), ok, terms,
-                      note="" if ok else "kelvin series did not meet stopping rule")
+    w = complex(_kelvin_complex(nu, x))
+    v = w.real if component == 0 else w.imag
+    if not cmath.isfinite(w):
+        return EvalResult(v, math.inf, False, 1, note="kelvin: non-finite jv value")
+    # a component near its own zero carries the modulus's absolute error
+    return EvalResult(v, 1e-13 * abs(w), True, 1)
 
 
 def kelvin_ber(nu: float, x: float) -> EvalResult:
@@ -318,13 +267,13 @@ def kelvin_bei(nu: float, x: float) -> EvalResult:
 
 
 def kelvin_ber_vec(nu: float, x: np.ndarray) -> np.ndarray:
-    """Vectorized ber_nu over positive float64 arrays (integrand use)."""
-    return _kelvin_both_vec(nu, x)[0]
+    """Vectorized ber_nu over nonnegative float64 arrays (integrand use)."""
+    return _kelvin_complex(nu, x).real
 
 
 def kelvin_bei_vec(nu: float, x: np.ndarray) -> np.ndarray:
-    """Vectorized bei_nu over positive float64 arrays (integrand use)."""
-    return _kelvin_both_vec(nu, x)[1]
+    """Vectorized bei_nu over nonnegative float64 arrays (integrand use)."""
+    return _kelvin_complex(nu, x).imag
 
 
 # ----------------------------------------------------------------------

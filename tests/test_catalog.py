@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -99,6 +100,13 @@ def test_verify_single_points():
                        rel_tol=1e-6, abs_floor=1e-12)
     assert r.status == "pass"
     assert rel(r.lhs.value, oracles.bessel_k0_integral(1.0)) < 1e-9
+
+
+def test_kelvin_point_passes_quickly():
+    t0 = time.perf_counter()
+    r = catalog.verify("I-2.15", {"a": 3.0, "y": 3.0})
+    assert r.status == "pass"
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_verify_grid_default_pass():

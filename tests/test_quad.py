@@ -134,6 +134,18 @@ def test_decay_class_required():
             Integrand(lambda x: x ** -2.0, decay=AlgebraicDecay(2.0)), 1.0, 1e-8)
 
 
+def test_decaying_node_budget_is_hard():
+    # a tol beyond reach: coarse pass, tail probes and finite part share max_evals
+    f = Integrand(lambda t: np.exp(-t) * np.cos(40 * t) * (1 + 1e-9 * np.sin(1e7 * t)),
+                  decay=ExponentialDecay(1.0))
+    r = integrate_semiinf_decaying(f, 0.0, 1e-15, max_evals=20_000)
+    assert not r.converged
+    assert "budget" in r.note
+    assert r.terms_or_nodes_used <= 20_000
+    r = integrate_finite(lambda x: np.sin(x), 0.0, 1.0, 1e-12, max_evals=10)
+    assert not r.converged and r.terms_or_nodes_used == 0
+
+
 # ----------------------------------------------------------------------
 # semi-infinite, oscillatory with partition-extrapolation
 # ----------------------------------------------------------------------
@@ -167,6 +179,17 @@ def test_hankel_tail_matches_k0_oracle():
 def test_oscillation_descriptor_required():
     with pytest.raises(DomainError):
         integrate_semiinf_oscillatory(Integrand(lambda x: np.cos(x)), 0.0, None, 1e-8)
+
+
+def test_unconverged_cell_ends_oscillatory_run():
+    # sin(x)/x with NaN on (3, 3.2): the second cell fails, so must the integral
+    def f(x):
+        return np.where((x > 3.0) & (x < 3.2), np.nan, np.sinc(x / np.pi))
+
+    r = integrate_semiinf_oscillatory(f, 0.0, OscillationDescriptor(math.pi), 1e-8)
+    assert not r.converged
+    assert "non-finite" in r.note
+    assert math.isinf(r.abs_err_est)
 
 
 def test_first_cell_width_invariance():

@@ -217,6 +217,37 @@ def test_kelvin_general_order_against_j_series():
             assert rel(sf.kelvin_bei(nu, x).value, total.imag) < 1e-10
 
 
+def test_kelvin_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for nu in (-2.5, -2.0, -1.0, -0.5, 0.0, 0.5, 2.0 / 3.0, 1.0, 2.0, 4.0, 6.0):
+            for x in np.geomspace(0.05, 120.0, 24):
+                ber, bei = mpmath.ber(nu, x), mpmath.bei(nu, x)
+                modulus = float(mpmath.sqrt(ber ** 2 + bei ** 2))
+                for r, want in ((sf.kelvin_ber(nu, x), ber), (sf.kelvin_bei(nu, x), bei)):
+                    err = float(abs(r.value - want))
+                    assert r.converged
+                    assert err <= r.abs_err_est
+                    assert err <= 1e-13 * modulus
+
+
+def test_kelvin_vec_large_x_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    x = np.array([100.0, 200.0, 400.0])
+    got = sf.kelvin_ber_vec(0.0, x)
+    with mpmath.workdps(40):
+        want = [float(mpmath.ber(0, v)) for v in x]
+    for g, w in zip(got, want):
+        assert rel(g, w) < 1e-12
+
+
+def test_kelvin_overflow_is_unconverged():
+    # J_nu at a large negative order and tiny argument overflows binary64
+    r = sf.kelvin_ber(-100.5, 0.01)
+    assert not r.converged
+    assert math.isinf(r.abs_err_est)
+
+
 def test_kelvin_domain():
     with pytest.raises(DomainError):
         sf.kelvin_ber(0.0, -1.0)
