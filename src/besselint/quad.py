@@ -171,7 +171,7 @@ def _gk15(f, lo: float, hi: float) -> tuple[float, float, bool]:
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     y = np.asarray(f(c + h * _XGK), dtype=float)
-    if y.shape != (15,) or not np.all(np.isfinite(y)):
+    if y.shape != (15,) or not np.isfinite(y).all():
         return 0.0, math.inf, False
     ik = h * float(_WGK @ y)
     ig = h * float(_WG @ y[_G_IDX])
@@ -390,10 +390,13 @@ def integrate_semiinf_decaying(f, a: float, tol: float, *,
     probes = np.linspace(0.0, 2.0 * span, 6)[1:]
     T = t0
     tail_bound = math.inf
-    evals_probe = 0
+    spent = coarse.terms_or_nodes_used
     while T <= a + 900.0 * span:
+        if spent + probes.size > max_evals:
+            return EvalResult(coarse.value, math.inf, False, spent,
+                              note="integrate_semiinf_decaying: node budget exhausted")
         vals = np.abs(np.asarray(f(T + probes), dtype=float))
-        evals_probe += probes.size
+        spent += probes.size
         back = vals * np.exp(lam * probes)
         m = float(np.max(back)) if np.all(np.isfinite(back)) else math.inf
         tail_bound = 2.0 * m / lam
@@ -401,11 +404,10 @@ def integrate_semiinf_decaying(f, a: float, tol: float, *,
             break
         T += 12.0 * span
     if not math.isfinite(tail_bound):
-        return EvalResult(coarse.value, math.inf, False, coarse.terms_or_nodes_used,
+        return EvalResult(coarse.value, math.inf, False, spent,
                           note="integrate_semiinf_decaying: tail probe non-finite")
 
     seeds = min(64, max(8, int(round((T - a) * lam / 4.0))))
-    spent = coarse.terms_or_nodes_used + evals_probe
     fine = integrate_finite(f, a, T, 0.5 * tol,
                             abs_floor=0.5 * budget,
                             max_evals=max_evals - spent,
@@ -425,28 +427,34 @@ def integrate_semiinf_decaying(f, a: float, tol: float, *,
 _HUGE = 1e305
 
 
+def _eps_step(diag: list[float], s: float) -> list[float]:
+    """Append the partial sum s to Wynn's epsilon table.
+
+    ``diag[k]`` is the last entry of column k; the returned list is the
+    table's new anti-diagonal, one entry longer.  Each entry comes from
+    the rhombus rule with the already-converged entry propagated where a
+    denominator vanishes.
+    """
+    new = [s]
+    for k in range(1, len(diag) + 1):
+        d = new[k - 1] - diag[k - 1]
+        base = diag[k - 2] if k >= 2 else 0.0
+        if d == 0.0 or not math.isfinite(d):
+            new.append(base if k % 2 == 0 else _HUGE)
+        else:
+            nxt = base + 1.0 / d
+            new.append(nxt if math.isfinite(nxt) else (_HUGE if k % 2 else base))
+    return new
+
+
 def _eps_corners(partial_sums: Sequence[float]) -> list[float]:
     """Last entry of each even epsilon-table column, in column order."""
-    s = [float(v) for v in partial_sums]
-    n = len(s)
-    if n < 3:
+    diag: list[float] = []
+    for v in partial_sums:
+        diag = _eps_step(diag, float(v))
+    if len(diag) < 3:
         raise DomainError("epsilon_extrapolate: need at least 3 partial sums")
-    cols: list[list[float]] = [s]
-    for k in range(1, n):
-        prev = cols[k - 1]
-        prev2 = cols[k - 2] if k >= 2 else [0.0] * (len(prev) + 1)
-        cur = []
-        for i in range(len(prev) - 1):
-            d = prev[i + 1] - prev[i]
-            base = prev2[i + 1]
-            if d == 0.0 or not math.isfinite(d):
-                cur.append(base if k % 2 == 0 else _HUGE)
-            else:
-                nxt = base + 1.0 / d
-                cur.append(nxt if math.isfinite(nxt) else (_HUGE if k % 2 else base))
-        cols.append(cur)
-    k_best = 2 * ((n - 1) // 2)
-    return [cols[k][-1] for k in range(0, k_best + 1, 2)]
+    return diag[::2]
 
 
 def epsilon_extrapolate(partial_sums: Sequence[float]) -> EvalResult:
@@ -505,7 +513,7 @@ def integrate_semiinf_oscillatory(f, a: float, osc: OscillationDescriptor | None
     first = osc.first_zero_estimate
     edge = max(a + 0.25 * period, float(first)) if first is not None else a + period
 
-    partial: list[float] = []
+    diag: list[float] = []  # last anti-diagonal of the epsilon table
     running = 0.0
     cell_err = 0.0
     evals = 0
@@ -526,11 +534,11 @@ def integrate_semiinf_oscillatory(f, a: float, osc: OscillationDescriptor | None
         if not r.converged:
             return EvalResult(running, math.inf, False, evals, note=r.note)
         cell_err += r.abs_err_est
-        partial.append(running)
+        diag = _eps_step(diag, running)
         if k == 0:
             cell_floor = max(abs_floor, 1e-3 * tol * abs(running))
         if k >= 2:
-            corner = _eps_corners(partial)[-1]
+            corner = diag[2 * (k // 2)]
             if prev_extrap is not None:
                 scale = max(abs(corner), abs_floor / max(tol, _EPS))
                 diff = abs(corner - prev_extrap)

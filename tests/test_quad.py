@@ -142,6 +142,12 @@ def test_decaying_node_budget_is_hard():
     assert not r.converged
     assert "budget" in r.note
     assert r.terms_or_nodes_used <= 20_000
+    # the declared rate overstates the decay, so the tail probes never settle
+    f = Integrand(lambda t: np.exp(-0.05 * t), decay=ExponentialDecay(1.0))
+    r = integrate_semiinf_decaying(f, 0.0, 1e-10, max_evals=200)
+    assert not r.converged
+    assert "budget" in r.note
+    assert r.terms_or_nodes_used <= 200
     r = integrate_finite(lambda x: np.sin(x), 0.0, 1.0, 1e-12, max_evals=10)
     assert not r.converged and r.terms_or_nodes_used == 0
 

@@ -231,6 +231,17 @@ def test_kelvin_against_mpmath():
                     assert err <= 1e-13 * modulus
 
 
+def test_kelvin_large_orders_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for nu in (-90.75, -40.5, -10.25, 20.0, 100.0, 300.0):
+            for x in np.geomspace(0.05, 120.0, 12):
+                ber, bei = mpmath.ber(nu, x), mpmath.bei(nu, x)
+                for r, want in ((sf.kelvin_ber(nu, x), ber), (sf.kelvin_bei(nu, x), bei)):
+                    assert r.converged
+                    assert float(abs(r.value - want)) <= r.abs_err_est
+
+
 def test_kelvin_vec_large_x_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
     x = np.array([100.0, 200.0, 400.0])
