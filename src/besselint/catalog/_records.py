@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from ..specfun import DomainError, EvalResult
+from ..specfun import DomainError, EvalResult, scaled
 
 __all__ = [
     "ParamPoint",
@@ -125,13 +125,6 @@ class VerificationResult:
 def closed_form(value: float, rel: float = 5e-15) -> EvalResult:
     """A converged closed-form value with a relative error allowance."""
     return EvalResult(float(value), abs(float(value)) * rel + 1e-305, True, 1)
-
-
-def scaled(r: EvalResult, pref: float, rel: float = 0.0) -> EvalResult:
-    """``pref * r``; ``rel`` adds a relative allowance for the prefactor."""
-    v = pref * r.value
-    return EvalResult(v, abs(pref) * r.abs_err_est + rel * abs(v) + 1e-300,
-                      r.converged, r.terms_or_nodes_used, r.note)
 
 
 def point_key(point: ParamPoint) -> tuple:

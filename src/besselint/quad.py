@@ -3,15 +3,21 @@
 Three entry points, all returning :class:`~besselint.specfun.EvalResult`:
 
 * :func:`integrate_finite` -- adaptive Gauss-Kronrod (G7/K15) bisection
-  with declared-endpoint-singularity transforms;
+  with declared-endpoint-singularity transforms, refined in rounds: each
+  round bisects the worst intervals until their errors cover the excess
+  over the target and evaluates all new halves in one integrand call per
+  piece (Shampine's vectorized adaptive quadrature);
 * :func:`integrate_semiinf_decaying` -- semi-infinite integrals whose
-  integrand decays exponentially: analytic tail bound plus a finite part;
+  integrand decays exponentially: one head pass over [a, a + 30/rate],
+  an analytic tail bound, and a finite extension only where the bound
+  asks for one;
 * :func:`integrate_semiinf_oscillatory` -- conditionally convergent
   oscillatory tails by partition-extrapolation: integrate cell by cell
   between kernel sign-change clusters and accelerate the partial sums
   with Wynn's epsilon algorithm.
 
-Integrands are vectorized callables ``f(x: float64 array) -> array``.
+Integrands are vectorized callables ``f(x: float64 array) -> array`` that
+return one value per node, in the shape of ``x``.
 Singularity handling is hint-driven (never auto-detected): a declared
 endpoint behaviour ``|x - e|**gamma`` is divided out pointwise and the
 exact power restored under a ``u = e -+ s**p`` substitution, which keeps
@@ -167,15 +173,26 @@ _WG = np.array([
 _G_IDX = np.arange(1, 15, 2)
 
 
-def _gk15(f, lo: float, hi: float) -> tuple[float, float, bool]:
+def _gk15(fn, lo: np.ndarray, hi: np.ndarray):
+    """G7/K15 estimates on the k panels [lo[i], hi[i]] from one call of fn.
+
+    fn sees all k*15 nodes at once; series kernels cost per call, not per
+    point.  Returns (values, errors, note): ``note`` is empty on success
+    and names the fault, with values and errors None, when fn returned
+    the wrong shape or a non-finite value.
+    """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
-    y = np.asarray(f(c + h * _XGK), dtype=float)
-    if y.shape != (15,) or not np.isfinite(y).all():
-        return 0.0, math.inf, False
-    ik = h * float(_WGK @ y)
-    ig = h * float(_WG @ y[_G_IDX])
-    return ik, abs(ik - ig) + _EPS * abs(ik), True
+    x = (c[:, None] + h[:, None] * _XGK).ravel()
+    y = np.asarray(fn(x), dtype=float)
+    if y.shape != x.shape:
+        return None, None, f"integrate_finite: integrand returned shape {y.shape} for {x.size} nodes"
+    if not np.isfinite(y).all():
+        return None, None, "integrate_finite: non-finite integrand value"
+    y = y.reshape(-1, 15)
+    ik = h * (y @ _WGK)
+    ig = h * (y[:, _G_IDX] @ _WG)
+    return ik, np.abs(ik - ig) + _EPS * np.abs(ik), ""
 
 
 # ----------------------------------------------------------------------
@@ -266,15 +283,19 @@ def integrate_finite(f, a: float, b: float, tol: float, *,
                      abs_floor: float = 0.0,
                      max_evals: int = 1_000_000,
                      initial_intervals: int = 1) -> EvalResult:
-    """Adaptive G7/K15 quadrature of f over [a, b].
+    """Adaptive G7/K15 quadrature of f over [a, b], refined in batches.
 
     Terminates when the summed interval error estimates drop below
-    ``max(tol * |result|, abs_floor)``; the worst interval is bisected
-    first.  Declared endpoint singularities are removed by a power
-    substitution before any abscissa is generated.  The first panel with
-    a non-finite integrand value ends the run unconverged, with a partial
+    ``target = max(tol * |result|, abs_floor)``.  Each refinement round
+    takes the worst intervals until their errors cover the excess over
+    the target (at least one interval), bisects them and evaluates every
+    new half with one call of f per piece.  Declared endpoint
+    singularities are removed by a power substitution before any
+    abscissa is generated.  The first non-finite integrand value, or a
+    result of the wrong shape, ends the run unconverged, with a partial
     sum and an infinite error estimate.  At most ``max_evals`` nodes are
-    spent: the initial grid is thinned to fit, and a budget below one
+    spent: each interval taken for bisection is charged its 30 nodes
+    first, the initial grid is thinned to fit, and a budget below one
     panel per piece returns unconverged without evaluating f.
     """
     a, b = float(a), float(b)
@@ -284,73 +305,66 @@ def integrate_finite(f, a: float, b: float, tol: float, *,
         raise DomainError(f"integrate_finite: requires tol > 0, got {tol!r}")
     f = _as_integrand(f)
 
-    heap: list = []
-    count = 0
+    pieces = _split_pieces(f, a, b)
+    heap: list = []  # (-err, lo, hi, val, err, piece index)
     evals = 0
     frozen_val = 0.0  # intervals too narrow to split further
     frozen_err = 0.0
 
-    def nonfinite() -> EvalResult:
-        return EvalResult(math.fsum(item[4] for item in heap) + frozen_val, math.inf,
-                          False, evals, note="integrate_finite: non-finite integrand value")
+    def evaluate(batch: dict) -> str:
+        """Evaluate {piece index: ([lo...], [hi...])}, one call per piece."""
+        nonlocal evals
+        for i, (los, his) in batch.items():
+            vals, errs, note = _gk15(pieces[i][0], np.array(los), np.array(his))
+            evals += 15 * len(los)
+            if note:
+                return note
+            for lo, hi, val, err in zip(los, his, vals.tolist(), errs.tolist()):
+                heapq.heappush(heap, (-err, lo, hi, val, err, i))
+        return ""
 
-    pieces = _split_pieces(f, a, b)
     n0 = min(max(1, int(initial_intervals)), max_evals // (15 * len(pieces)))
     if n0 < 1:
         return EvalResult(0.0, math.inf, False, 0, note="integrate_finite: node budget exhausted")
-    for fn, lo, hi in pieces:
-        step = (hi - lo) / n0
-        for i in range(n0):
-            lo_i = lo + i * step
-            hi_i = hi if i == n0 - 1 else lo + (i + 1) * step
-            val, err, ok = _gk15(fn, lo_i, hi_i)
-            evals += 15
-            if not ok:
-                return nonfinite()
-            count += 1
-            heapq.heappush(heap, (-err, count, lo_i, hi_i, val, err, fn))
+    grid = {}
+    for i, (_, lo, hi) in enumerate(pieces):
+        edges = lo + np.arange(n0 + 1) * ((hi - lo) / n0)
+        edges[-1] = hi
+        grid[i] = (edges[:-1].tolist(), edges[1:].tolist())
+    note = evaluate(grid)
 
-    def totals():
-        s = math.fsum(item[4] for item in heap) + frozen_val
-        e = math.fsum(item[5] for item in heap) + frozen_err
-        return s, e
-
-    total, err_total = totals()
-    since_resync = 0
-    while True:
+    while not note:
+        total = math.fsum(item[3] for item in heap) + frozen_val
+        err_total = math.fsum(item[4] for item in heap) + frozen_err
         target = max(tol * abs(total), abs_floor)
         if err_total <= target and not math.isinf(err_total):
             return EvalResult(total, err_total, True, evals)
-        if evals + 30 > max_evals or not heap:
-            break
-        _, _, lo, hi, val, err, fn = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi) or (hi - lo) < 16 * _EPS * max(abs(lo), abs(hi), 1.0):
-            # too narrow to subdivide; freeze its estimate and move on
-            frozen_val += val
-            frozen_err += err if math.isfinite(err) else abs(val) + 1e-300
-            total, err_total = totals()
-            continue
-        v1, e1, ok1 = _gk15(fn, lo, mid)
-        v2, e2, ok2 = _gk15(fn, mid, hi)
-        evals += 30
-        if not (ok1 and ok2):
-            return nonfinite()
-        count += 2
-        heapq.heappush(heap, (-e1, count - 1, lo, mid, v1, e1, fn))
-        heapq.heappush(heap, (-e2, count, mid, hi, v2, e2, fn))
-        # cheap incremental totals with a periodic exact resync
-        total += v1 + v2 - val
-        err_total += e1 + e2 - err
-        since_resync += 1
-        if since_resync >= 256 or not math.isfinite(err_total):
-            total, err_total = totals()
-            since_resync = 0
+        room = (max_evals - evals) // 30
+        if room < 1 or not heap:
+            note = "integrate_finite: node budget exhausted" if room < 1 \
+                else "integrate_finite: no splittable intervals left"
+            return EvalResult(total, err_total if math.isfinite(err_total) else abs(total),
+                              False, evals, note=note)
+        excess = err_total - target
+        covered = 0.0
+        taken = 0
+        batch: dict = {}
+        while heap and taken < room and (taken == 0 or covered < excess):
+            _, lo, hi, val, err, i = heapq.heappop(heap)
+            taken += 1
+            covered += err
+            mid = 0.5 * (lo + hi)
+            if not (lo < mid < hi) or (hi - lo) < 16 * _EPS * max(abs(lo), abs(hi), 1.0):
+                # too narrow to subdivide; freeze its estimate
+                frozen_val += val
+                frozen_err += err if math.isfinite(err) else abs(val) + 1e-300
+                continue
+            los, his = batch.setdefault(i, ([], []))
+            los += (lo, mid)
+            his += (mid, hi)
+        note = evaluate(batch)
 
-    total, err_total = totals()
-    note = "integrate_finite: node budget exhausted" if evals + 30 > max_evals \
-        else "integrate_finite: no splittable intervals left"
-    return EvalResult(total, err_total if math.isfinite(err_total) else abs(total),
+    return EvalResult(math.fsum(item[3] for item in heap) + frozen_val, math.inf,
                       False, evals, note=note)
 
 
@@ -363,10 +377,13 @@ def integrate_semiinf_decaying(f, a: float, tol: float, *,
                                max_evals: int = 1_000_000) -> EvalResult:
     """Integrate f over [a, oo) for integrands with exponential decay.
 
-    The truncation point T is pushed out until the sampled-envelope tail
-    bound  max|f| * exp(-rate*(t-T)) / rate  falls below half the error
-    budget; the finite part then gets the other half.  The coarse pass,
-    the tail probes and the finite part share the one ``max_evals``.
+    The head [a, t0], t0 = a + 30/rate, is integrated once, at half the
+    tolerance; it sets the error budget and is returned as it is when it
+    does not converge.  The truncation point T is then pushed out from
+    t0 until the sampled-envelope tail bound
+    max|f| * exp(-rate*(t-T)) / rate  falls below half the budget, and
+    only a T past t0 adds [t0, T] to the head.  The head, the tail probes
+    and [t0, T] share the one ``max_evals``.
     """
     f = _as_integrand(f)
     if not isinstance(f.decay, ExponentialDecay):
@@ -378,22 +395,25 @@ def integrate_semiinf_decaying(f, a: float, tol: float, *,
         raise DomainError(f"integrate_semiinf_decaying: decay rate must be > 0, got {lam!r}")
     a = float(a)
 
+    def seeds(lo: float, hi: float) -> int:
+        return min(64, max(8, int(round((hi - lo) * lam / 4.0))))
+
     span = 1.0 / lam
     t0 = a + 30.0 * span
-    coarse = integrate_finite(f, a, t0, min(1e-8, tol),
-                              abs_floor=abs_floor,
-                              max_evals=max_evals // 4,
-                              initial_intervals=min(32, max(4, int(round(30.0 / 4.0)))))
-    scale = max(abs(coarse.value), abs_floor)
+    head = integrate_finite(f, a, t0, 0.5 * tol, abs_floor=0.5 * abs_floor,
+                            max_evals=max_evals, initial_intervals=seeds(a, t0))
+    if not head.converged:
+        return head
+    scale = max(abs(head.value), abs_floor)
     budget = max(tol * scale, abs_floor)
 
     probes = np.linspace(0.0, 2.0 * span, 6)[1:]
     T = t0
     tail_bound = math.inf
-    spent = coarse.terms_or_nodes_used
+    spent = head.terms_or_nodes_used
     while T <= a + 900.0 * span:
         if spent + probes.size > max_evals:
-            return EvalResult(coarse.value, math.inf, False, spent,
+            return EvalResult(head.value, math.inf, False, spent,
                               note="integrate_semiinf_decaying: node budget exhausted")
         vals = np.abs(np.asarray(f(T + probes), dtype=float))
         spent += probes.size
@@ -404,20 +424,16 @@ def integrate_semiinf_decaying(f, a: float, tol: float, *,
             break
         T += 12.0 * span
     if not math.isfinite(tail_bound):
-        return EvalResult(coarse.value, math.inf, False, spent,
+        return EvalResult(head.value, math.inf, False, spent,
                           note="integrate_semiinf_decaying: tail probe non-finite")
+    if T == t0:
+        return EvalResult(head.value, head.abs_err_est + tail_bound, True, spent)
 
-    seeds = min(64, max(8, int(round((T - a) * lam / 4.0))))
-    fine = integrate_finite(f, a, T, 0.5 * tol,
-                            abs_floor=0.5 * budget,
-                            max_evals=max_evals - spent,
-                            initial_intervals=seeds)
-    nodes = fine.terms_or_nodes_used + spent
-    note = fine.note
-    if not fine.converged and not note:
-        note = "integrate_semiinf_decaying: finite part did not converge"
-    return EvalResult(fine.value, fine.abs_err_est + tail_bound, fine.converged,
-                      nodes, note=note)
+    rest = integrate_finite(f, t0, T, 0.5 * tol, abs_floor=0.5 * budget,
+                            max_evals=max_evals - spent, initial_intervals=seeds(t0, T))
+    return EvalResult(head.value + rest.value,
+                      head.abs_err_est + rest.abs_err_est + tail_bound,
+                      rest.converged, spent + rest.terms_or_nodes_used, note=rest.note)
 
 
 # ----------------------------------------------------------------------

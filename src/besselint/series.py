@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 from scipy import special as _sp
 
-from .specfun import DomainError, EvalResult, hyp0f1, log_gamma
+from .specfun import DomainError, EvalResult, hyp0f1, log_gamma, scaled
 
 __all__ = [
     "SeriesState",
@@ -257,10 +257,9 @@ def weber_triple(p: TripleParams, max_terms: int = 300) -> EvalResult:
         if run >= 3:
             converged = True
             break
-    scale = math.exp(expo) / al
-    return EvalResult(scale * state.partial_sum, scale * state.err_est(),
-                      converged, state.terms,
-                      note="" if converged else "weber_triple: ran past term budget")
+    return scaled(EvalResult(state.partial_sum, state.err_est(), converged, state.terms,
+                             note="" if converged else "weber_triple: ran past term budget"),
+                  math.exp(expo) / al)
 
 
 def _triple_m_series(p: TripleParams, x: float, max_terms: int) -> tuple[float, bool]:
@@ -315,8 +314,8 @@ def weber_triple_m(p: TripleParams, max_terms: int = 300) -> EvalResult:
     note = d.note
     if not series_ok:
         note = (note + "; " if note else "") + "weber_triple_m: inner series ran past budget"
-    return EvalResult(pref * d.value, pref * d.abs_err_est,
-                      d.converged and series_ok, d.terms_or_nodes_used, note=note)
+    return scaled(EvalResult(d.value, d.abs_err_est, d.converged and series_ok,
+                             d.terms_or_nodes_used, note=note), pref)
 
 
 def weber_j0jm_limit(alpha: float, beta1: float, beta2: float, m: int) -> EvalResult:

@@ -27,6 +27,7 @@ from scipy import special as _sp
 
 __all__ = [
     "EvalResult",
+    "scaled",
     "DomainError",
     "ORDER_MIN",
     "ORDER_MAX",
@@ -95,6 +96,13 @@ class EvalResult:
 
     def __float__(self) -> float:
         return float(self.value)
+
+
+def scaled(r: EvalResult, pref: float, rel: float = 0.0) -> EvalResult:
+    """``pref * r``; ``rel`` adds a relative allowance for the prefactor."""
+    v = pref * r.value
+    return EvalResult(v, abs(pref) * r.abs_err_est + rel * abs(v) + 1e-300,
+                      r.converged, r.terms_or_nodes_used, r.note)
 
 
 def _kernel_result(value: float, rel: float = 5e-15, nodes: int = 1) -> EvalResult:

@@ -18,6 +18,17 @@ def rel(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
+def counted(fn):
+    """fn with a call counter in ``calls[0]``."""
+    calls = [0]
+
+    def wrapped(x):
+        calls[0] += 1
+        return fn(x)
+
+    return wrapped, calls
+
+
 # ----------------------------------------------------------------------
 # finite intervals
 # ----------------------------------------------------------------------
@@ -78,6 +89,31 @@ def test_budget_exhaustion_flagged():
                          abs_floor=0.0, max_evals=4000)
     assert not r.converged
     assert "budget" in r.note
+    # rounds that bisect several intervals at once still stop inside the budget
+    for max_evals in (200, 500, 700):
+        r = integrate_finite(lambda x: np.sqrt(np.abs(x - 1.0 / 3.0)), 0.0, 1.0, 1e-12,
+                             initial_intervals=4, max_evals=max_evals)
+        assert not r.converged
+        assert "budget" in r.note
+        assert r.terms_or_nodes_used <= max_evals
+
+
+def test_one_integrand_call_per_refinement_round():
+    # the kink at 1/3 needs many rounds; each evaluates all its new halves at once
+    f, calls = counted(lambda x: np.sqrt(np.abs(x - 1.0 / 3.0)))
+    r = integrate_finite(f, 0.0, 1.0, 1e-12, initial_intervals=4)
+    exact = 2.0 / 3.0 * ((1.0 / 3.0) ** 1.5 + (2.0 / 3.0) ** 1.5)
+    assert r.converged
+    assert abs(r.value - exact) <= max(r.abs_err_est, 1e-15)
+    assert calls[0] <= 25
+
+
+def test_wrong_shape_integrand_has_own_note():
+    for fn, shape in ((lambda x: 1.0, "()"), (lambda x: np.ones(3), "(3,)")):
+        r = integrate_finite(fn, 0.0, 1.0, 1e-8)
+        assert not r.converged
+        assert math.isinf(r.abs_err_est)
+        assert r.note == f"integrate_finite: integrand returned shape {shape} for 15 nodes"
 
 
 def test_nonfinite_integrand_stops_at_once():
@@ -126,6 +162,15 @@ def test_triple_j0_against_composite_oracle():
     assert rel(r.value, want) < 1e-9
 
 
+def test_decaying_head_integrated_once():
+    # the tail past 30/rate is below the budget, so [0, 30] is the whole work
+    f, calls = counted(lambda t: np.exp(-t) * np.cos(3.0 * t))
+    r = integrate_semiinf_decaying(Integrand(f, decay=ExponentialDecay(1.0)), 0.0, 1e-11)
+    assert r.converged
+    assert abs(r.value - 0.1) <= max(r.abs_err_est, 1e-13)
+    assert calls[0] <= 8
+
+
 def test_decay_class_required():
     with pytest.raises(DomainError):
         integrate_semiinf_decaying(Integrand(lambda x: np.exp(-x)), 0.0, 1e-8)
@@ -135,7 +180,7 @@ def test_decay_class_required():
 
 
 def test_decaying_node_budget_is_hard():
-    # a tol beyond reach: coarse pass, tail probes and finite part share max_evals
+    # a tol beyond reach: head, tail probes and [t0, T] share max_evals
     f = Integrand(lambda t: np.exp(-t) * np.cos(40 * t) * (1 + 1e-9 * np.sin(1e7 * t)),
                   decay=ExponentialDecay(1.0))
     r = integrate_semiinf_decaying(f, 0.0, 1e-15, max_evals=20_000)
