@@ -7,10 +7,9 @@ import math
 import numpy as np
 from scipy import special as sp
 
-from besselint import (EndpointSingularity, ExponentialDecay, Integrand,
-                       OscillationDescriptor, epsilon_extrapolate,
-                       integrate_finite, integrate_semiinf_decaying,
-                       integrate_semiinf_oscillatory)
+from besselint import (EndpointSingularity, Integrand, OscillationDescriptor,
+                       epsilon_extrapolate, integrate_finite,
+                       integrate_semiinf_decaying, integrate_semiinf_oscillatory)
 
 print("== adaptive finite quadrature ==")
 r = integrate_finite(lambda x: x * x, 0.0, 1.0, 1e-12)
@@ -35,15 +34,13 @@ print(f"int_0^1 (1-u^2)^-3/4  = {r.value:.15g}  (beta form {exact:.15g})")
 
 print()
 print("== semi-infinite with exponential decay ==")
-# The declared rate drives an analytic tail bound; the finite part gets the
-# other half of the budget.
-r = integrate_semiinf_decaying(
-    Integrand(lambda x: np.exp(-x * x), decay=ExponentialDecay(1.0)), 0.0, 1e-11)
+# The decay rate (here 1: the integrand falls at least like e^-x) drives an
+# analytic tail bound; the finite part gets the other half of the budget.
+r = integrate_semiinf_decaying(lambda x: np.exp(-x * x), 0.0, 1.0, 1e-11)
 print(f"int_0^inf e^(-x^2) dx = {r.value:.15g}  (sqrt(pi)/2 = {math.sqrt(math.pi)/2:.15g})")
 
-triple = Integrand(lambda x: np.exp(-x) * sp.jv(0, np.sqrt(x)) ** 3,
-                   decay=ExponentialDecay(1.0))
-r = integrate_semiinf_decaying(triple, 0.0, 1e-11)
+r = integrate_semiinf_decaying(lambda x: np.exp(-x) * sp.jv(0, np.sqrt(x)) ** 3,
+                               0.0, 1.0, 1e-11)
 print(f"int e^-x J0(sqrt x)^3 = {r.value:.15g}  ({r.terms_or_nodes_used} evals)")
 
 print()
@@ -51,15 +48,23 @@ print("== conditionally convergent oscillatory tails ==")
 # Partition the axis into cells of one asymptotic period, integrate cell by
 # cell, and extrapolate the partial sums with Wynn's epsilon algorithm.
 r = integrate_semiinf_oscillatory(
-    Integrand(lambda x: np.sinc(x / np.pi)), 0.0,
+    lambda x: np.sinc(x / np.pi), 0.0,
     OscillationDescriptor(asymptotic_period=math.pi, first_zero_estimate=math.pi),
     1e-10)
 print(f"int_0^inf sin(x)/x dx = {r.value:.15g}  (pi/2 = {math.pi/2:.15g})")
 
 r = integrate_semiinf_oscillatory(
-    Integrand(lambda y: y * sp.jv(0, y) / (1 + y * y)), 0.0,
+    lambda y: y * sp.jv(0, y) / (1 + y * y), 0.0,
     OscillationDescriptor(math.pi, 2.405), 1e-9)
 print(f"int y J0(y)/(1+y^2)   = {r.value:.15g}  (K_0(1) = {float(sp.kv(0, 1)):.15g})")
+
+# Every engine spends at most max_evals integrand nodes; a run that needs
+# more stops unconverged instead of running on.
+r = integrate_semiinf_oscillatory(
+    lambda y: y * sp.jv(0, y) / (1 + y * y), 0.0,
+    OscillationDescriptor(math.pi, 2.405), 1e-9, max_evals=300)
+print(f"same, max_evals=300   : converged={r.converged}, {r.terms_or_nodes_used} evals"
+      f" ({r.note})")
 
 print()
 print("== Wynn's epsilon on raw partial sums ==")

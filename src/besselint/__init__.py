@@ -22,10 +22,9 @@ from .specfun import (DomainError, EvalResult, bessel_i, bessel_i_scaled,
                       bessel_j, bessel_k, bessel_k_scaled, bessel_y, gamma,
                       gegenbauer, hyp0f1, hyp0f3, hyp2f1, kelvin_bei,
                       kelvin_ber, laguerre, log_gamma)
-from .quad import (AlgebraicDecay, EndpointSingularity, ExponentialDecay,
-                   Integrand, OscillationDescriptor, epsilon_extrapolate,
-                   integrate_finite, integrate_semiinf_decaying,
-                   integrate_semiinf_oscillatory)
+from .quad import (EndpointSingularity, Integrand, OscillationDescriptor,
+                   epsilon_extrapolate, integrate_finite,
+                   integrate_semiinf_decaying, integrate_semiinf_oscillatory)
 from .series import (SeriesState, TripleParams, derivative_m, hyp0f1_product,
                      product_jj_gauss, product_jj_neumann, weber_j0jm_limit,
                      weber_triple, weber_triple_m)
@@ -38,8 +37,7 @@ __all__ = [
     "bessel_k", "bessel_k_scaled",
     "kelvin_ber", "kelvin_bei",
     "hyp0f1", "hyp0f3", "hyp2f1", "laguerre", "gegenbauer",
-    "Integrand", "EndpointSingularity", "ExponentialDecay", "AlgebraicDecay",
-    "OscillationDescriptor",
+    "Integrand", "EndpointSingularity", "OscillationDescriptor",
     "integrate_finite", "integrate_semiinf_decaying",
     "integrate_semiinf_oscillatory", "epsilon_extrapolate",
     "SeriesState", "TripleParams",

@@ -35,6 +35,7 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "list_identities",
     "get_identity",
+    "validate_point",
     "evaluate_sides",
     "verify",
     "verify_grid",
@@ -77,7 +78,9 @@ def get_identity(identity: str) -> IdentityRecord:
             f"unknown identity id {identity!r}; see list_identities()") from None
 
 
-def _validate(record: IdentityRecord, point: ParamPoint) -> dict:
+def validate_point(record: IdentityRecord, point: ParamPoint) -> dict:
+    """``point`` as floats; ConstraintError unless it names exactly the
+    record's parameters and satisfies its constraints."""
     pt = {k: float(v) for k, v in dict(point).items()}
     missing = set(record.params) - set(pt)
     extra = set(pt) - set(record.params)
@@ -103,7 +106,7 @@ def evaluate_sides(identity: str, point: ParamPoint,
                    budgets: Budgets = Budgets()) -> tuple[EvalResult, EvalResult]:
     """Evaluate LHS and RHS of one identity at one admissible point."""
     record = get_identity(identity)
-    pt = _validate(record, point)
+    pt = validate_point(record, point)
     return record.lhs(pt, budgets), record.rhs(pt, budgets)
 
 
@@ -118,7 +121,7 @@ def verify(identity: str, point: ParamPoint, rel_tol: float | None = None,
     lhs/rhs ratio in the note.
     """
     record = get_identity(identity)
-    pt = _validate(record, point)
+    pt = validate_point(record, point)
     tol = _tolerance(record, rel_tol, abs_floor)
     lhs = record.lhs(pt, budgets)
     rhs = record.rhs(pt, budgets)
@@ -208,7 +211,7 @@ def _verify_points(record: IdentityRecord, points, rel_tol, abs_floor,
     results = []
     for pt in points:
         try:
-            p = _validate(record, pt)
+            p = validate_point(record, pt)
             results.append(compare_sides(record, p, record.lhs(p, budgets),
                                          record.rhs(p, budgets), tol, abs_floor))
         except Exception as exc:  # a point failure must not abort the grid

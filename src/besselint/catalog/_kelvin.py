@@ -17,8 +17,8 @@ import numpy as np
 from scipy import special as sp
 
 from ..specfun import EvalResult, kelvin_bei, kelvin_bei_vec, kelvin_ber, kelvin_ber_vec
-from ..quad import (ExponentialDecay, Integrand, OscillationDescriptor,
-                    integrate_semiinf_decaying, integrate_semiinf_oscillatory)
+from ..quad import (OscillationDescriptor, integrate_semiinf_decaying,
+                    integrate_semiinf_oscillatory)
 from ._records import (Budgets, Constraint, IdentityRecord, ParamSpace,
                        closed_form, scaled)
 
@@ -47,9 +47,8 @@ def _i215_rhs(p, b: Budgets) -> EvalResult:
     def fn(t):
         return sp.kve(0, t) * np.exp(-t) * kelvin_ber_vec(0.0, c * np.sqrt(t)) * np.cos(y * t)
 
-    return integrate_semiinf_decaying(
-        Integrand(fn, decay=ExponentialDecay(_KELVIN_RATE)), 0.0, 1e-11,
-        max_evals=b.max_evals)
+    return integrate_semiinf_decaying(fn, 0.0, _KELVIN_RATE, 1e-11,
+                                      max_evals=b.max_evals)
 
 
 def _i216_lhs(p, b: Budgets) -> EvalResult:
@@ -65,9 +64,8 @@ def _i216_rhs(p, b: Budgets) -> EvalResult:
     def fn(t):
         return sp.kve(0, t) * np.exp(-t) * kelvin_bei_vec(0.0, c * np.sqrt(t)) * np.sin(y * t)
 
-    return integrate_semiinf_decaying(
-        Integrand(fn, decay=ExponentialDecay(_KELVIN_RATE)), 0.0, 1e-11,
-        max_evals=b.max_evals)
+    return integrate_semiinf_decaying(fn, 0.0, _KELVIN_RATE, 1e-11,
+                                      max_evals=b.max_evals)
 
 
 def _i217_lhs(p, b: Budgets) -> EvalResult:
@@ -82,9 +80,8 @@ def _i217_rhs(p, b: Budgets) -> EvalResult:
     def fn(t):
         return np.exp(-t) * kelvin_ber_vec(0.0, c * np.sqrt(t)) * sp.jv(0, y * t)
 
-    return integrate_semiinf_decaying(
-        Integrand(fn, decay=ExponentialDecay(_KELVIN_RATE)), 0.0, 1e-11,
-        max_evals=b.max_evals)
+    return integrate_semiinf_decaying(fn, 0.0, _KELVIN_RATE, 1e-11,
+                                      max_evals=b.max_evals)
 
 
 def _i218_lhs(p, b: Budgets) -> EvalResult:
@@ -99,9 +96,8 @@ def _i218_rhs(p, b: Budgets) -> EvalResult:
     def fn(t):
         return np.exp(-t) * kelvin_bei_vec(0.0, c * np.sqrt(t)) * sp.jv(0, y * t)
 
-    return integrate_semiinf_decaying(
-        Integrand(fn, decay=ExponentialDecay(_KELVIN_RATE)), 0.0, 1e-11,
-        max_evals=b.max_evals)
+    return integrate_semiinf_decaying(fn, 0.0, _KELVIN_RATE, 1e-11,
+                                      max_evals=b.max_evals)
 
 
 def _ky_space() -> ParamSpace:
@@ -182,8 +178,8 @@ def _i219_rhs(p, b: Budgets) -> EvalResult:
         return w ** -0.5 * sp.jv(0, 0.25 * a * a / w) * np.cosh(0.25 * a * a * y / w) * np.cos(t * y)
 
     osc = OscillationDescriptor(math.pi / t, 0.5 * math.pi / t)
-    return integrate_semiinf_oscillatory(Integrand(fn), 0.0, osc, 1e-8,
-                                         max_cells=b.max_cells)
+    return integrate_semiinf_oscillatory(fn, 0.0, osc, 1e-8, max_cells=b.max_cells,
+                                         max_evals=b.max_evals)
 
 
 def _i220_lhs(p, b: Budgets) -> EvalResult:
@@ -199,8 +195,8 @@ def _i220_rhs(p, b: Budgets) -> EvalResult:
         return w ** -0.5 * sp.jv(0, 0.25 * a * a / w) * np.sinh(0.25 * a * a * y / w) * np.sin(t * y)
 
     osc = OscillationDescriptor(math.pi / t, math.pi / t)
-    return integrate_semiinf_oscillatory(Integrand(fn), 0.0, osc, 1e-8,
-                                         max_cells=b.max_cells)
+    return integrate_semiinf_oscillatory(fn, 0.0, osc, 1e-8, max_cells=b.max_cells,
+                                         max_evals=b.max_evals)
 
 
 def _i221_lhs(p, b: Budgets) -> EvalResult:
@@ -217,8 +213,8 @@ def _i221_rhs(p, b: Budgets) -> EvalResult:
                 * np.cos(0.25 * a * a / w) * sp.jv(0, t * y))
 
     osc = OscillationDescriptor(math.pi / t, 2.405 / t)
-    return integrate_semiinf_oscillatory(Integrand(fn), 0.0, osc, 1e-8,
-                                         max_cells=b.max_cells)
+    return integrate_semiinf_oscillatory(fn, 0.0, osc, 1e-8, max_cells=b.max_cells,
+                                         max_evals=b.max_evals)
 
 
 def _i222_lhs(p, b: Budgets) -> EvalResult:
@@ -235,8 +231,8 @@ def _i222_rhs(p, b: Budgets) -> EvalResult:
                 * np.sin(0.25 * a * a / w) * sp.jv(0, t * y))
 
     osc = OscillationDescriptor(math.pi / t, 2.405 / t)
-    return integrate_semiinf_oscillatory(Integrand(fn), 0.0, osc, 1e-8,
-                                         max_cells=b.max_cells)
+    return integrate_semiinf_oscillatory(fn, 0.0, osc, 1e-8, max_cells=b.max_cells,
+                                         max_evals=b.max_evals)
 
 
 def _kt_space() -> ParamSpace:
@@ -315,8 +311,7 @@ def _k1_lhs(p, b: Budgets) -> EvalResult:
         return (sp.ive(nu, x * sn) * np.exp(-lam * x)
                 * (c3 * kelvin_bei_vec(2 * nu, arg) - s3 * kelvin_ber_vec(2 * nu, arg)))
 
-    return integrate_semiinf_decaying(Integrand(fn, decay=ExponentialDecay(lam)),
-                                      0.0, 1e-11, max_evals=b.max_evals)
+    return integrate_semiinf_decaying(fn, 0.0, lam, 1e-11, max_evals=b.max_evals)
 
 
 def _k1_rhs(p, b: Budgets) -> EvalResult:
@@ -360,8 +355,7 @@ def _k1a_lhs(p, b: Budgets) -> EvalResult:
         return (sp.ive(2 * n, x * sn) * np.exp(-lam * x)
                 * kelvin_bei_vec(4 * n, 2.0 * cn * np.sqrt(u * x)))
 
-    return integrate_semiinf_decaying(Integrand(fn, decay=ExponentialDecay(lam)),
-                                      0.0, 1e-11, max_evals=b.max_evals)
+    return integrate_semiinf_decaying(fn, 0.0, lam, 1e-11, max_evals=b.max_evals)
 
 
 def _k1a_rhs(p, b: Budgets) -> EvalResult:
@@ -405,8 +399,7 @@ def _k1b_lhs(p, b: Budgets) -> EvalResult:
         return (sp.ive(2 * n + 1, x * sn) * np.exp(-lam * x)
                 * kelvin_ber_vec(4 * n + 2, 2.0 * cn * np.sqrt(u * x)))
 
-    return integrate_semiinf_decaying(Integrand(fn, decay=ExponentialDecay(lam)),
-                                      0.0, 1e-11, max_evals=b.max_evals)
+    return integrate_semiinf_decaying(fn, 0.0, lam, 1e-11, max_evals=b.max_evals)
 
 
 def _k1b_rhs(p, b: Budgets) -> EvalResult:

@@ -11,9 +11,9 @@ from scipy import special as sp
 
 from .. import series as se
 from ..specfun import EvalResult, gamma, hyp0f1, hyp0f3_vec, hyp2f1
-from ..quad import (EndpointSingularity, ExponentialDecay, Integrand,
-                    OscillationDescriptor, integrate_finite,
-                    integrate_semiinf_decaying, integrate_semiinf_oscillatory)
+from ..quad import (EndpointSingularity, Integrand, OscillationDescriptor,
+                    integrate_finite, integrate_semiinf_decaying,
+                    integrate_semiinf_oscillatory)
 from ._records import (Budgets, Constraint, IdentityRecord, ParamSpace,
                        closed_form, scaled)
 
@@ -58,8 +58,7 @@ def _i24_rhs(p, b: Budgets) -> EvalResult:
                 * hyp0f3_vec(mu + 1, nu + 1, mu + nu + 1, -(z * t) ** 2, b.max_terms)
                 * sp.kve(mu, 2 * t) * sp.ive(nu, 2 * q * t) * np.exp(-lam * t))
 
-    r = integrate_semiinf_decaying(Integrand(fn, decay=ExponentialDecay(lam)),
-                                   0.0, 1e-11, max_evals=b.max_evals)
+    r = integrate_semiinf_decaying(fn, 0.0, lam, 1e-11, max_evals=b.max_evals)
     pref = (4.0 * (0.5 * a * x) ** mu * (0.5 * bb * x) ** nu
             * (1.0 - q * q) ** (mu + nu + 1) * (a / bb) ** nu)
     return scaled(r, pref)
@@ -109,10 +108,8 @@ def _i26_lhs(p, b: Budgets) -> EvalResult:
         return t ** s * sp.kve(mu, 2 * t) * sp.ive(nu, 2 * q * t) * np.exp(-lam * t)
 
     hints = (EndpointSingularity(0.0, gpow),) if gpow < 0.0 else ()
-    r = integrate_semiinf_decaying(Integrand(fn, singularities=hints,
-                                             decay=ExponentialDecay(lam)),
-                                   0.0, 1e-11, max_evals=b.max_evals)
-    return r
+    return integrate_semiinf_decaying(Integrand(fn, singularities=hints), 0.0, lam, 1e-11,
+                                      max_evals=b.max_evals)
 
 
 def _i26_rhs(p, b: Budgets) -> EvalResult:
@@ -168,8 +165,8 @@ def _i27_lhs(p, b: Budgets) -> EvalResult:
     hints = (EndpointSingularity(0.0, gpow),) if gpow < 0.0 else ()
     per = math.pi / (a + bb)
     osc = OscillationDescriptor(per, max(per, 2.4 / max(a, bb)))
-    return integrate_semiinf_oscillatory(Integrand(fn, singularities=hints),
-                                         0.0, osc, 1e-9, max_cells=b.max_cells)
+    return integrate_semiinf_oscillatory(Integrand(fn, singularities=hints), 0.0, osc, 1e-9,
+                                         max_cells=b.max_cells, max_evals=b.max_evals)
 
 
 def _i27_rhs(p, b: Budgets) -> EvalResult:
@@ -227,8 +224,7 @@ def _i29_rhs(p, b: Budgets) -> EvalResult:
                                                 arg * t * t, b.max_terms)
                 * sp.kve(mu, t) * np.exp(-t) * sp.jv(nu, y * t))
 
-    r = integrate_semiinf_decaying(Integrand(fn, decay=ExponentialDecay(1.0)),
-                                   0.0, 1e-11, max_evals=b.max_evals)
+    r = integrate_semiinf_decaying(fn, 0.0, 1.0, 1e-11, max_evals=b.max_evals)
     pref = (a * a / 16.0) ** (mu + nu) * (1 + y * y) ** (mu + nu + 1)
     return scaled(r, pref)
 
@@ -276,8 +272,7 @@ def _i210_rhs(p, b: Budgets) -> EvalResult:
                                                 -(a * t) ** 2, b.max_terms)
                 * sp.kve(mu, t) * np.exp(-t) * sp.jv(nu, y * t))
 
-    r = integrate_semiinf_decaying(Integrand(fn, decay=ExponentialDecay(1.0)),
-                                   0.0, 1e-11, max_evals=b.max_evals)
+    r = integrate_semiinf_decaying(fn, 0.0, 1.0, 1e-11, max_evals=b.max_evals)
     pref = (1 + y * y) * a ** (mu + nu)
     return scaled(r, pref)
 
@@ -328,8 +323,8 @@ def _i211_rhs(p, b: Budgets) -> EvalResult:
         return y / w * sp.jv(nu, t * y) * sp.jv(mu, 4 * a / w) * sp.iv(nu, 4 * a * y / w)
 
     osc = OscillationDescriptor(math.pi / t, _first_j_zero(nu, t))
-    r = integrate_semiinf_oscillatory(Integrand(fn), 0.0, osc, 1e-9,
-                                      max_cells=b.max_cells)
+    r = integrate_semiinf_oscillatory(fn, 0.0, osc, 1e-9, max_cells=b.max_cells,
+                                      max_evals=b.max_evals)
     pref = gamma(mu + 1) * gamma(nu + 1) * gamma(mu + nu + 1)
     return scaled(r, pref)
 
@@ -380,8 +375,8 @@ def _i212_rhs(p, b: Budgets) -> EvalResult:
         return y ** (nu + 1) * (1 + y * y) ** (-(mu + nu + 1)) * sp.jv(nu, t * y)
 
     osc = OscillationDescriptor(math.pi / t, _first_j_zero(nu, t))
-    r = integrate_semiinf_oscillatory(Integrand(fn), 0.0, osc, 1e-9,
-                                      max_cells=b.max_cells)
+    r = integrate_semiinf_oscillatory(fn, 0.0, osc, 1e-9, max_cells=b.max_cells,
+                                      max_evals=b.max_evals)
     pref = gamma(mu + nu + 1)
     return scaled(r, pref)
 
@@ -423,8 +418,7 @@ def _i224_lhs(p, b: Budgets) -> EvalResult:
         return (np.exp(-be * t) * t ** (2 * nu + 1)
                 * hyp0f3_vec(1.5, nu + 1, nu + 1.5, -al * t * t, b.max_terms))
 
-    return integrate_semiinf_decaying(Integrand(fn, decay=ExponentialDecay(be)),
-                                      0.0, 1e-11, max_evals=b.max_evals)
+    return integrate_semiinf_decaying(fn, 0.0, be, 1e-11, max_evals=b.max_evals)
 
 
 def _i224_rhs(p, b: Budgets) -> EvalResult:

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from ..specfun import DomainError, EvalResult, scaled
+from ..specfun import DomainError, EvalResult, closed_form, scaled
 
 __all__ = [
     "ParamPoint",
@@ -120,11 +120,6 @@ class VerificationResult:
     rel_diff: float
     status: str
     note: str = ""
-
-
-def closed_form(value: float, rel: float = 5e-15) -> EvalResult:
-    """A converged closed-form value with a relative error allowance."""
-    return EvalResult(float(value), abs(float(value)) * rel + 1e-305, True, 1)
 
 
 def point_key(point: ParamPoint) -> tuple:

@@ -14,7 +14,7 @@ from scipy import special as sp
 
 from .. import series as se
 from ..specfun import EvalResult, gamma, hyp0f3_vec
-from ..quad import ExponentialDecay, Integrand, integrate_semiinf_decaying
+from ..quad import integrate_semiinf_decaying
 from ._records import Budgets, Constraint, IdentityRecord, ParamSpace, closed_form
 
 _M = 1e-6
@@ -31,8 +31,7 @@ def _i231_lhs(p, b: Budgets) -> EvalResult:
     def fn(u):
         return 0.5 * np.exp(-pp * u) * u ** (0.5 * k) * sp.jv(k, c * np.sqrt(u))
 
-    return integrate_semiinf_decaying(Integrand(fn, decay=ExponentialDecay(pp)),
-                                      0.0, 1e-11, max_evals=b.max_evals)
+    return integrate_semiinf_decaying(fn, 0.0, pp, 1e-11, max_evals=b.max_evals)
 
 
 def _i231_rhs(p, b: Budgets) -> EvalResult:
@@ -80,8 +79,7 @@ def _i232_lhs(p, b: Budgets) -> EvalResult:
         su = np.sqrt(u)
         return 0.5 * np.exp(-pp * u) * sp.jv(nu, a * su) * sp.jv(nu, bb * su)
 
-    return integrate_semiinf_decaying(Integrand(fn, decay=ExponentialDecay(pp)),
-                                      0.0, 1e-11, max_evals=b.max_evals)
+    return integrate_semiinf_decaying(fn, 0.0, pp, 1e-11, max_evals=b.max_evals)
 
 
 def _i232_rhs(p, b: Budgets) -> EvalResult:
@@ -128,8 +126,7 @@ def _i38_lhs(p, b: Budgets) -> EvalResult:
         sx = np.sqrt(x)
         return np.exp(-al * x) * sp.jv(0, b1 * sx) * sp.jv(0, b2 * sx) * sp.jv(0, b3 * sx)
 
-    return integrate_semiinf_decaying(Integrand(fn, decay=ExponentialDecay(al)),
-                                      0.0, 1e-10, max_evals=b.max_evals)
+    return integrate_semiinf_decaying(fn, 0.0, al, 1e-10, max_evals=b.max_evals)
 
 
 def _i38_rhs(p, b: Budgets) -> EvalResult:
@@ -174,8 +171,7 @@ def _i319_lhs(p, b: Budgets) -> EvalResult:
         sx = np.sqrt(x)
         return np.exp(-al * x) * sp.jv(0, b1 * sx) * sp.jv(m, b2 * sx) * sp.jv(m, b3 * sx)
 
-    return integrate_semiinf_decaying(Integrand(fn, decay=ExponentialDecay(al)),
-                                      0.0, 1e-10, max_evals=b.max_evals)
+    return integrate_semiinf_decaying(fn, 0.0, al, 1e-10, max_evals=b.max_evals)
 
 
 def _i319_rhs(p, b: Budgets) -> EvalResult:
@@ -224,8 +220,7 @@ def _i320_lhs(p, b: Budgets) -> EvalResult:
         sx = np.sqrt(x)
         return np.exp(-al * x) * sp.jv(0, b1 * sx) * sp.jv(m, b2 * sx) * x ** (0.5 * m)
 
-    return integrate_semiinf_decaying(Integrand(fn, decay=ExponentialDecay(al)),
-                                      0.0, 1e-11, max_evals=b.max_evals)
+    return integrate_semiinf_decaying(fn, 0.0, al, 1e-11, max_evals=b.max_evals)
 
 
 def _i320_rhs(p, b: Budgets) -> EvalResult:
@@ -275,8 +270,7 @@ def _i321_lhs(p, b: Budgets) -> EvalResult:
     def fn(x):
         return np.exp(-be * x) * hyp0f3_vec(mu, nu, nu + 0.5, -(a * x) ** 2, b.max_terms)
 
-    return integrate_semiinf_decaying(Integrand(fn, decay=ExponentialDecay(be)),
-                                      0.0, 1e-11, max_evals=b.max_evals)
+    return integrate_semiinf_decaying(fn, 0.0, be, 1e-11, max_evals=b.max_evals)
 
 
 def _i321_rhs(p, b: Budgets) -> EvalResult:
@@ -326,8 +320,7 @@ def _i322_lhs(p, b: Budgets) -> EvalResult:
         return (x * sp.jv(1, a * x) * sp.ive(1, a * x) * sp.yv(0, x) * sp.kve(0, x)
                 * np.exp(-lam * x))
 
-    return integrate_semiinf_decaying(Integrand(fn, decay=ExponentialDecay(lam)),
-                                      0.0, 1e-11, max_evals=b.max_evals)
+    return integrate_semiinf_decaying(fn, 0.0, lam, 1e-11, max_evals=b.max_evals)
 
 
 def _i322_rhs(p, b: Budgets) -> EvalResult:

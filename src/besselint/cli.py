@@ -180,20 +180,11 @@ def _load_grid_csv(path: str, record) -> ParamSpace:
     for i, row in enumerate(rows, start=2):  # header is line 1
         try:
             pt = {k.strip(): float(v) for k, v in row.items() if k is not None}
+            points.append(catalog.validate_point(record, pt))
+        except ConstraintError as exc:
+            problems.append(f"line {i}: {exc}")
         except (TypeError, ValueError) as exc:
             problems.append(f"line {i}: unparsable row ({exc})")
-            continue
-        missing = set(record.params) - set(pt)
-        extra = set(pt) - set(record.params)
-        if missing or extra:
-            problems.append(f"line {i}: columns must be exactly {record.params}; "
-                            f"missing={sorted(missing)}, unexpected={sorted(extra)}")
-            continue
-        violated = record.space.violated(pt)
-        if violated is not None:
-            problems.append(f"line {i}: violates constraint: {violated.text}")
-            continue
-        points.append(pt)
     if problems:
         raise ConstraintError("grid rejected:\n  " + "\n  ".join(problems))
     return ParamSpace(constraints=record.space.constraints,

@@ -8,16 +8,21 @@ Three entry points, all returning :class:`~besselint.specfun.EvalResult`:
   over the target and evaluates all new halves in one integrand call per
   piece (Shampine's vectorized adaptive quadrature);
 * :func:`integrate_semiinf_decaying` -- semi-infinite integrals whose
-  integrand decays exponentially: one head pass over [a, a + 30/rate],
-  an analytic tail bound, and a finite extension only where the bound
-  asks for one;
+  integrand decays at least like exp(-rate*x): one head pass over
+  [a, a + 30/rate], an analytic tail bound, and a finite extension only
+  where the bound asks for one;
 * :func:`integrate_semiinf_oscillatory` -- conditionally convergent
   oscillatory tails by partition-extrapolation: integrate cell by cell
   between kernel sign-change clusters and accelerate the partial sums
   with Wynn's epsilon algorithm.
 
-Integrands are vectorized callables ``f(x: float64 array) -> array`` that
-return one value per node, in the shape of ``x``.
+Each engine takes the integrand and the interval start, then what it
+needs to know of the integrand's behaviour (the interval end, the decay
+rate, or an :class:`OscillationDescriptor`), then the relative tolerance,
+and spends at most ``max_evals`` integrand nodes.  Integrands are
+vectorized callables ``f(x: float64 array) -> array`` that return one
+value per node, in the shape of ``x``; wrap one in :class:`Integrand` to
+declare endpoint singularities.
 Singularity handling is hint-driven (never auto-detected): a declared
 endpoint behaviour ``|x - e|**gamma`` is divided out pointwise and the
 exact power restored under a ``u = e -+ s**p`` substitution, which keeps
@@ -37,8 +42,6 @@ from .specfun import DomainError, EvalResult
 
 __all__ = [
     "EndpointSingularity",
-    "ExponentialDecay",
-    "AlgebraicDecay",
     "OscillationDescriptor",
     "Integrand",
     "integrate_finite",
@@ -76,20 +79,6 @@ class EndpointSingularity:
 
 
 @dataclass(frozen=True)
-class ExponentialDecay:
-    """Envelope decays at least like exp(-rate * x) for large x."""
-
-    rate: float
-
-
-@dataclass(frozen=True)
-class AlgebraicDecay:
-    """Envelope decays like x**(-power) for large x."""
-
-    power: float
-
-
-@dataclass(frozen=True)
 class OscillationDescriptor:
     """Asymptotic spacing of kernel sign-change clusters.
 
@@ -108,7 +97,6 @@ class Integrand:
 
     fn: Callable[[np.ndarray], np.ndarray]
     singularities: tuple[EndpointSingularity, ...] = ()
-    decay: ExponentialDecay | AlgebraicDecay | OscillationDescriptor | None = None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.fn(x)
@@ -372,27 +360,25 @@ def integrate_finite(f, a: float, b: float, tol: float, *,
 # semi-infinite, exponentially decaying
 # ----------------------------------------------------------------------
 
-def integrate_semiinf_decaying(f, a: float, tol: float, *,
+def integrate_semiinf_decaying(f, a: float, rate: float, tol: float, *,
                                abs_floor: float = 1e-300,
                                max_evals: int = 1_000_000) -> EvalResult:
-    """Integrate f over [a, oo) for integrands with exponential decay.
+    """Integrate f over [a, oo) for integrands that decay like exp(-rate*x).
 
     The head [a, t0], t0 = a + 30/rate, is integrated once, at half the
     tolerance; it sets the error budget and is returned as it is when it
     does not converge.  The truncation point T is then pushed out from
     t0 until the sampled-envelope tail bound
     max|f| * exp(-rate*(t-T)) / rate  falls below half the budget, and
-    only a T past t0 adds [t0, T] to the head.  The head, the tail probes
-    and [t0, T] share the one ``max_evals``.
+    only a T past t0 adds [t0, T] to the head.  A bound still not met at
+    a + 900/rate (the rate overstates the decay) ends the run
+    unconverged.  The head, the tail probes and [t0, T] share the one
+    ``max_evals``.
     """
-    f = _as_integrand(f)
-    if not isinstance(f.decay, ExponentialDecay):
-        raise DomainError(
-            "integrate_semiinf_decaying: integrand must declare ExponentialDecay"
-        )
-    lam = float(f.decay.rate)
+    lam = float(rate)
     if not (lam > 0.0):
-        raise DomainError(f"integrate_semiinf_decaying: decay rate must be > 0, got {lam!r}")
+        raise DomainError(f"integrate_semiinf_decaying: decay rate must be > 0, got {rate!r}")
+    f = _as_integrand(f)
     a = float(a)
 
     def seeds(lo: float, hi: float) -> int:
@@ -409,7 +395,6 @@ def integrate_semiinf_decaying(f, a: float, tol: float, *,
 
     probes = np.linspace(0.0, 2.0 * span, 6)[1:]
     T = t0
-    tail_bound = math.inf
     spent = head.terms_or_nodes_used
     while T <= a + 900.0 * span:
         if spent + probes.size > max_evals:
@@ -423,9 +408,10 @@ def integrate_semiinf_decaying(f, a: float, tol: float, *,
         if tail_bound < 0.5 * budget:
             break
         T += 12.0 * span
-    if not math.isfinite(tail_bound):
+    else:
+        why = "tail bound not met" if math.isfinite(tail_bound) else "tail probe non-finite"
         return EvalResult(head.value, math.inf, False, spent,
-                          note="integrate_semiinf_decaying: tail probe non-finite")
+                          note=f"integrate_semiinf_decaying: {why}")
     if T == t0:
         return EvalResult(head.value, head.abs_err_est + tail_bound, True, spent)
 
@@ -501,27 +487,31 @@ def epsilon_extrapolate(partial_sums: Sequence[float]) -> EvalResult:
 # semi-infinite oscillatory by partition-extrapolation
 # ----------------------------------------------------------------------
 
-def integrate_semiinf_oscillatory(f, a: float, osc: OscillationDescriptor | None,
+# Relative tolerance of each cell, far below any verify tolerance, so that
+# the extrapolation, not the cells, limits the accuracy of the sum.
+_CELL_TOL = 1e-13
+
+
+def integrate_semiinf_oscillatory(f, a: float, osc: OscillationDescriptor,
                                   tol: float, *,
                                   abs_floor: float = 1e-15,
                                   max_cells: int = 200,
-                                  cell_tol: float = 1e-13,
-                                  max_evals_per_cell: int = 40_000) -> EvalResult:
+                                  max_evals: int = 1_000_000) -> EvalResult:
     """Integrate an eventually-oscillatory integrand over [a, oo).
 
-    Cells of one asymptotic period are integrated with the finite engine;
-    the partial-sum sequence is extrapolated after each new cell and the
-    run stops once two successive extrapolants agree within tol*scale.
-    The first cell that does not converge ends the run unconverged, with
-    the partial sum, an infinite error estimate and that cell's note.
+    Cells of one asymptotic period are integrated with the finite engine
+    to ``_CELL_TOL``; the partial-sum sequence is extrapolated after each
+    new cell and the run stops once two successive extrapolants agree
+    within tol*scale.  Each cell may spend what the cells before it left
+    of ``max_evals``.  The first cell that does not converge ends the run
+    unconverged, with the partial sum, an infinite error estimate and
+    that cell's note.
     """
-    f = _as_integrand(f)
-    if osc is None:
-        osc = f.decay if isinstance(f.decay, OscillationDescriptor) else None
-    if osc is None:
+    if not isinstance(osc, OscillationDescriptor):
         raise DomainError(
             "integrate_semiinf_oscillatory: an OscillationDescriptor is required"
         )
+    f = _as_integrand(f)
     period = float(osc.asymptotic_period)
     if not (period > 0.0 and math.isfinite(period)):
         raise DomainError(f"oscillatory: asymptotic_period must be finite > 0, got {period!r}")
@@ -541,9 +531,9 @@ def integrate_semiinf_oscillatory(f, a: float, osc: OscillationDescriptor | None
     lo = a
     hi = edge
     for k in range(int(max_cells)):
-        r = integrate_finite(f, lo, hi, cell_tol,
+        r = integrate_finite(f, lo, hi, _CELL_TOL,
                              abs_floor=cell_floor,
-                             max_evals=max_evals_per_cell,
+                             max_evals=max_evals - evals,
                              initial_intervals=2)
         evals += r.terms_or_nodes_used
         running += r.value

@@ -27,6 +27,7 @@ from scipy import special as _sp
 
 __all__ = [
     "EvalResult",
+    "closed_form",
     "scaled",
     "DomainError",
     "ORDER_MIN",
@@ -105,11 +106,12 @@ def scaled(r: EvalResult, pref: float, rel: float = 0.0) -> EvalResult:
                       r.converged, r.terms_or_nodes_used, r.note)
 
 
-def _kernel_result(value: float, rel: float = 5e-15, nodes: int = 1) -> EvalResult:
+def closed_form(value: float, rel: float = 5e-15) -> EvalResult:
+    """A closed-form value with a relative error allowance; unconverged if non-finite."""
     v = float(value)
     if not math.isfinite(v):
-        return EvalResult(v, math.inf, False, nodes, note="non-finite kernel value")
-    return EvalResult(v, abs(v) * rel + 1e-305, True, nodes)
+        return EvalResult(v, math.inf, False, 1, note="non-finite kernel value")
+    return EvalResult(v, abs(v) * rel + 1e-305, True, 1)
 
 
 def _check_order(nu: float, who: str) -> float:
@@ -166,7 +168,7 @@ def bessel_j(nu: float, x: float) -> EvalResult:
         raise DomainError(f"bessel_j: requires x >= 0, got x={x!r}")
     if x == 0.0 and nu < 0.0:
         raise DomainError("bessel_j: x = 0 is only admissible for nu >= 0")
-    return _kernel_result(_sp.jv(nu, x))
+    return closed_form(_sp.jv(nu, x))
 
 
 def bessel_y(nu: float, x: float) -> EvalResult:
@@ -179,7 +181,7 @@ def bessel_y(nu: float, x: float) -> EvalResult:
     x = float(x)
     if x <= 0.0:
         raise DomainError(f"bessel_y: requires x > 0, got x={x!r}")
-    return _kernel_result(_sp.yv(nu, x))
+    return closed_form(_sp.yv(nu, x))
 
 
 def bessel_i(nu: float, x: float) -> EvalResult:
@@ -199,7 +201,7 @@ def bessel_i(nu: float, x: float) -> EvalResult:
         raise OverflowError(
             f"bessel_i({nu!r}, {x!r}) exceeds binary64 range; use bessel_i_scaled"
         )
-    return _kernel_result(v)
+    return closed_form(v)
 
 
 def bessel_i_scaled(nu: float, x: float) -> EvalResult:
@@ -210,7 +212,7 @@ def bessel_i_scaled(nu: float, x: float) -> EvalResult:
         raise DomainError(f"bessel_i_scaled: requires x >= 0, got x={x!r}")
     if x == 0.0 and nu < 0.0:
         raise DomainError("bessel_i_scaled: x = 0 is only admissible for nu >= 0")
-    return _kernel_result(_sp.ive(nu, x))
+    return closed_form(_sp.ive(nu, x))
 
 
 def bessel_k(nu: float, x: float) -> EvalResult:
@@ -219,7 +221,7 @@ def bessel_k(nu: float, x: float) -> EvalResult:
     x = float(x)
     if x <= 0.0:
         raise DomainError(f"bessel_k: requires x > 0, got x={x!r}")
-    return _kernel_result(_sp.kv(nu, x))
+    return closed_form(_sp.kv(nu, x))
 
 
 def bessel_k_scaled(nu: float, x: float) -> EvalResult:
@@ -228,7 +230,7 @@ def bessel_k_scaled(nu: float, x: float) -> EvalResult:
     x = float(x)
     if x <= 0.0:
         raise DomainError(f"bessel_k_scaled: requires x > 0, got x={x!r}")
-    return _kernel_result(_sp.kve(nu, x))
+    return closed_form(_sp.kve(nu, x))
 
 
 # ----------------------------------------------------------------------
@@ -296,7 +298,7 @@ def _check_poles(bs, who: str) -> None:
             raise DomainError(f"{who}: denominator parameter {b!r} is a nonpositive integer")
 
 
-def _hyp0fq_vec(bs: tuple[float, ...], z: np.ndarray, max_terms: int, tol_scale: float = 1.0):
+def _hyp0fq_vec(bs: tuple[float, ...], z: np.ndarray, max_terms: int):
     """Sum sum_k z^k / (k! * prod (b)_k) over an array of z.
 
     Returns (value, abs_err, terms, converged), ``converged`` per element.
@@ -309,7 +311,6 @@ def _hyp0fq_vec(bs: tuple[float, ...], z: np.ndarray, max_terms: int, tol_scale:
     comp = np.zeros(z.shape, dtype=float)
     abs_sum = np.ones(z.shape, dtype=float)
     small_run = np.zeros(z.shape, dtype=np.int64)
-    eps_stop = _EPS * tol_scale
     k = 0
     while k < max_terms:
         denom = float(k + 1)
@@ -323,7 +324,7 @@ def _hyp0fq_vec(bs: tuple[float, ...], z: np.ndarray, max_terms: int, tol_scale:
         at = np.abs(term)
         abs_sum += at
         scale = np.maximum(np.abs(total), _EPS * abs_sum)
-        small_run = np.where(at <= eps_stop * scale, small_run + 1, 0)
+        small_run = np.where(at <= _EPS * scale, small_run + 1, 0)
         k += 1
         if np.all(small_run >= 3):
             break
@@ -405,7 +406,7 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> EvalResult:
     if 0.9 < z < 1.0 and not terminating:
         return EvalResult(v, abs(v) * 1e-9 + 1e-305, True, 1,
                           note="hyp2f1: degraded accuracy for 0.9 < z < 1")
-    return _kernel_result(v)
+    return closed_form(v)
 
 
 # ----------------------------------------------------------------------

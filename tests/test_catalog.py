@@ -153,6 +153,18 @@ def test_watch_identity_reports_ratio():
     assert 1.0 < ratio < 10.0
 
 
+@pytest.mark.parametrize("identity", ["I-2.25", "I-2.31", "I-2.7"])
+def test_node_budget_is_hard_on_every_route(identity):
+    # one identity per quadrature route: finite, decaying, oscillatory
+    rec = catalog.get_identity(identity)
+    r = catalog.verify(identity, rec.space.hard_points[0], budgets=Budgets(max_evals=2000))
+    for side, route in ((r.lhs, rec.lhs_route), (r.rhs, rec.rhs_route)):
+        if route.startswith("quadrature"):
+            assert side.terms_or_nodes_used <= 2000, (route, side.terms_or_nodes_used)
+    if identity == "I-2.7":  # needs about 5,100 nodes at this point
+        assert r.status == "inconclusive" and "budget" in r.note
+
+
 def test_forced_nonconvergence_is_inconclusive():
     budgets = Budgets(max_cells=4)
     r = catalog.verify("I-2.12", {"mu": 0.0, "nu": 0.0, "t": 1.0}, budgets=budgets)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from besselint.quad import (AlgebraicDecay, EndpointSingularity,
-                            ExponentialDecay, Integrand,
+from besselint.quad import (EndpointSingularity, Integrand,
                             OscillationDescriptor, epsilon_extrapolate,
                             integrate_finite, integrate_semiinf_decaying,
                             integrate_semiinf_oscillatory)
@@ -139,15 +138,13 @@ def test_bad_interval():
 # ----------------------------------------------------------------------
 
 def test_exponential():
-    f = Integrand(lambda x: np.exp(-x), decay=ExponentialDecay(1.0))
-    r = integrate_semiinf_decaying(f, 0.0, 1e-10)
+    r = integrate_semiinf_decaying(lambda x: np.exp(-x), 0.0, 1.0, 1e-10)
     assert r.converged
     assert abs(r.value - 1.0) <= max(r.abs_err_est, 1e-10)
 
 
 def test_gaussian():
-    f = Integrand(lambda x: np.exp(-x * x), decay=ExponentialDecay(1.0))
-    r = integrate_semiinf_decaying(f, 0.0, 1e-10)
+    r = integrate_semiinf_decaying(lambda x: np.exp(-x * x), 0.0, 1.0, 1e-10)
     assert abs(r.value - 0.5 * math.sqrt(math.pi)) < 1e-10
 
 
@@ -156,40 +153,47 @@ def test_triple_j0_against_composite_oracle():
     x = np.linspace(0.0, 60.0, 1_000_001)
     y = np.exp(-x) * sp.jv(0, np.sqrt(x)) ** 3
     want = oracles.simpson(y, x)
-    f = Integrand(lambda t: np.exp(-t) * sp.jv(0, np.sqrt(t)) ** 3,
-                  decay=ExponentialDecay(1.0))
-    r = integrate_semiinf_decaying(f, 0.0, 1e-10)
+    r = integrate_semiinf_decaying(lambda t: np.exp(-t) * sp.jv(0, np.sqrt(t)) ** 3,
+                                   0.0, 1.0, 1e-10)
     assert rel(r.value, want) < 1e-9
 
 
 def test_decaying_head_integrated_once():
     # the tail past 30/rate is below the budget, so [0, 30] is the whole work
     f, calls = counted(lambda t: np.exp(-t) * np.cos(3.0 * t))
-    r = integrate_semiinf_decaying(Integrand(f, decay=ExponentialDecay(1.0)), 0.0, 1e-11)
+    r = integrate_semiinf_decaying(f, 0.0, 1.0, 1e-11)
     assert r.converged
     assert abs(r.value - 0.1) <= max(r.abs_err_est, 1e-13)
     assert calls[0] <= 8
 
 
-def test_decay_class_required():
-    with pytest.raises(DomainError):
-        integrate_semiinf_decaying(Integrand(lambda x: np.exp(-x)), 0.0, 1e-8)
-    with pytest.raises(DomainError):
-        integrate_semiinf_decaying(
-            Integrand(lambda x: x ** -2.0, decay=AlgebraicDecay(2.0)), 1.0, 1e-8)
+def test_decay_rate_must_be_positive():
+    for rate in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError):
+            integrate_semiinf_decaying(lambda x: np.exp(-x), 0.0, rate, 1e-8)
+
+
+def test_decaying_unmet_tail_bound_is_not_converged():
+    # the rate overstates the decay: by 900/rate the tail of exp(-0.01 t)
+    # is still far above the budget, so the run must not claim 100 - 1e-2
+    r = integrate_semiinf_decaying(lambda t: np.exp(-0.01 * t), 0.0, 1.0, 1e-10)
+    assert not r.converged
+    assert math.isinf(r.abs_err_est)
+    assert r.note == "integrate_semiinf_decaying: tail bound not met"
 
 
 def test_decaying_node_budget_is_hard():
     # a tol beyond reach: head, tail probes and [t0, T] share max_evals
-    f = Integrand(lambda t: np.exp(-t) * np.cos(40 * t) * (1 + 1e-9 * np.sin(1e7 * t)),
-                  decay=ExponentialDecay(1.0))
-    r = integrate_semiinf_decaying(f, 0.0, 1e-15, max_evals=20_000)
+    def f(t):
+        return np.exp(-t) * np.cos(40 * t) * (1 + 1e-9 * np.sin(1e7 * t))
+
+    r = integrate_semiinf_decaying(f, 0.0, 1.0, 1e-15, max_evals=20_000)
     assert not r.converged
     assert "budget" in r.note
     assert r.terms_or_nodes_used <= 20_000
     # the declared rate overstates the decay, so the tail probes never settle
-    f = Integrand(lambda t: np.exp(-0.05 * t), decay=ExponentialDecay(1.0))
-    r = integrate_semiinf_decaying(f, 0.0, 1e-10, max_evals=200)
+    r = integrate_semiinf_decaying(lambda t: np.exp(-0.05 * t), 0.0, 1.0, 1e-10,
+                                   max_evals=200)
     assert not r.converged
     assert "budget" in r.note
     assert r.terms_or_nodes_used <= 200
@@ -305,14 +309,11 @@ def test_error_estimates_bound_truth():
                   singularities=(EndpointSingularity(-1.0, -0.5),
                                  EndpointSingularity(1.0, -0.5)))
     record(integrate_finite(f, -1.0, 1.0, 1e-10), math.pi)
-    record(integrate_semiinf_decaying(
-        Integrand(lambda x: np.exp(-x), decay=ExponentialDecay(1.0)), 0.0, 1e-9), 1.0)
-    record(integrate_semiinf_decaying(
-        Integrand(lambda x: np.exp(-2 * x) * np.cos(3 * x),
-                  decay=ExponentialDecay(2.0)), 0.0, 1e-9), 2.0 / 13.0)
-    record(integrate_semiinf_decaying(
-        Integrand(lambda x: np.exp(-x * x), decay=ExponentialDecay(1.0)), 0.0, 1e-9),
-        0.5 * math.sqrt(math.pi))
+    record(integrate_semiinf_decaying(lambda x: np.exp(-x), 0.0, 1.0, 1e-9), 1.0)
+    record(integrate_semiinf_decaying(lambda x: np.exp(-2 * x) * np.cos(3 * x),
+                                      0.0, 2.0, 1e-9), 2.0 / 13.0)
+    record(integrate_semiinf_decaying(lambda x: np.exp(-x * x), 0.0, 1.0, 1e-9),
+           0.5 * math.sqrt(math.pi))
     record(integrate_semiinf_oscillatory(
         Integrand(lambda x: np.sinc(x / np.pi)), 0.0,
         OscillationDescriptor(math.pi, math.pi), 1e-9), 0.5 * math.pi)

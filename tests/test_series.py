@@ -6,7 +6,7 @@ import pytest
 from scipy import special as sp
 
 from besselint import series as se
-from besselint.quad import ExponentialDecay, Integrand, integrate_semiinf_decaying
+from besselint.quad import integrate_semiinf_decaying
 from besselint.series import SeriesState, TripleParams
 from besselint.specfun import DomainError, bessel_j, hyp0f1
 
@@ -146,9 +146,8 @@ def test_weber_triple_permutation_symmetry():
 
 
 def test_weber_triple_against_quadrature():
-    f = Integrand(lambda x: np.exp(-x) * sp.jv(0, np.sqrt(x)) ** 3,
-                  decay=ExponentialDecay(1.0))
-    want = integrate_semiinf_decaying(f, 0.0, 1e-11).value
+    want = integrate_semiinf_decaying(lambda x: np.exp(-x) * sp.jv(0, np.sqrt(x)) ** 3,
+                                      0.0, 1.0, 1e-11).value
     r = se.weber_triple(TripleParams(1.0, 1.0, 1.0, 1.0))
     assert rel(r.value, want) < 1e-9
 
@@ -174,10 +173,11 @@ def test_weber_triple_m_zero_matches_weber_triple():
 ])
 def test_weber_triple_m_against_quadrature(m, al, betas):
     b1, b2, b3 = betas
-    f = Integrand(lambda x: (np.exp(-al * x) * sp.jv(0, b1 * np.sqrt(x))
-                             * sp.jv(m, b2 * np.sqrt(x)) * sp.jv(m, b3 * np.sqrt(x))),
-                  decay=ExponentialDecay(al))
-    want = integrate_semiinf_decaying(f, 0.0, 1e-11).value
+    def f(x):
+        return (np.exp(-al * x) * sp.jv(0, b1 * np.sqrt(x))
+                * sp.jv(m, b2 * np.sqrt(x)) * sp.jv(m, b3 * np.sqrt(x)))
+
+    want = integrate_semiinf_decaying(f, 0.0, al, 1e-11).value
     r = se.weber_triple_m(TripleParams(al, b1, b2, b3, m))
     assert r.converged
     assert rel(r.value, want) < 1e-6
@@ -210,10 +210,11 @@ def test_j0jm_limit_beta1_zero_closed_form():
 
 def test_j0jm_limit_against_quadrature():
     for (m, al, b1, b2) in ((1, 1.0, 1.0, 1.0), (2, 1.5, 0.7, 1.2), (3, 1.0, 0.8, 1.1)):
-        f = Integrand(lambda x: (np.exp(-al * x) * sp.jv(0, b1 * np.sqrt(x))
-                                 * sp.jv(m, b2 * np.sqrt(x)) * x ** (0.5 * m)),
-                      decay=ExponentialDecay(al))
-        want = integrate_semiinf_decaying(f, 0.0, 1e-11).value
+        def f(x):
+            return (np.exp(-al * x) * sp.jv(0, b1 * np.sqrt(x))
+                    * sp.jv(m, b2 * np.sqrt(x)) * x ** (0.5 * m))
+
+        want = integrate_semiinf_decaying(f, 0.0, al, 1e-11).value
         r = se.weber_j0jm_limit(al, b1, b2, m)
         assert rel(r.value, want) < 1e-10
 

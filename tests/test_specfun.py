@@ -376,3 +376,10 @@ def test_evalresult_invariants():
         assert math.isfinite(r.abs_err_est) and r.abs_err_est >= 0.0
         assert r.terms_or_nodes_used >= 0
         assert float(r) == r.value
+
+
+def test_closed_form_non_finite_is_unconverged():
+    r = sf.closed_form(math.inf)
+    assert not r.converged and math.isinf(r.abs_err_est)
+    r = sf.closed_form(2.0, rel=1e-10)
+    assert r.converged and r.abs_err_est == pytest.approx(2e-10)
