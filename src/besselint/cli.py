@@ -179,7 +179,9 @@ def _load_grid_csv(path: str, record) -> ParamSpace:
     problems = []
     for i, row in enumerate(rows, start=2):  # header is line 1
         try:
-            pt = {k.strip(): float(v) for k, v in row.items() if k is not None}
+            if None in row:  # DictReader files fields beyond the header under None
+                raise ValueError(f"{len(row[None])} field(s) beyond the header")
+            pt = {k.strip(): float(v) for k, v in row.items()}
             points.append(catalog.validate_point(record, pt))
         except ConstraintError as exc:
             problems.append(f"line {i}: {exc}")

@@ -197,7 +197,9 @@ def product_jj_neumann(nu: float, a: float, b: float, x: float,
 def hyp0f1_product(c: float, x: float, y: float, max_terms: int = 500) -> EvalResult:
     """0F1(;c;x) * 0F1(;c;y) via the product expansion.
 
-    Sums sum_r (xy)^r / (r! (c)_r (c)_2r) * 0F1(;c+2r;x+y).
+    Sums sum_r (xy)^r / (r! (c)_r (c)_2r) * 0F1(;c+2r;x+y).  The error
+    estimate adds sum_r |coeff_r| * (error of the r-th inner 0F1) to that of
+    the outer sum.
     """
     c, x, y = float(c), float(x), float(y)
     if c <= 0.0 and c == math.floor(c):
@@ -207,19 +209,21 @@ def hyp0f1_product(c: float, x: float, y: float, max_terms: int = 500) -> EvalRe
     coeff = 1.0
     state = SeriesState()
     inner_terms = 0
+    inner_err = 0.0
     run = 0
     for r in range(max_terms):
         if r > 0:
             coeff *= xy / (r * (c + r - 1.0) * (c + 2.0 * r - 2.0) * (c + 2.0 * r - 1.0))
         inner = hyp0f1(c + 2.0 * r, s)
         inner_terms += inner.terms_or_nodes_used
+        inner_err += abs(coeff) * inner.abs_err_est
         term = coeff * inner.value
         state.add(term)
         run = _stop(state, run, abs(term))
         if run >= 3:
-            return EvalResult(state.partial_sum, state.err_est(), True,
+            return EvalResult(state.partial_sum, state.err_est() + inner_err, True,
                               state.terms + inner_terms)
-    return EvalResult(state.partial_sum, state.err_est(), False,
+    return EvalResult(state.partial_sum, state.err_est() + inner_err, False,
                       state.terms + inner_terms,
                       note="hyp0f1_product: ran past term budget")
 

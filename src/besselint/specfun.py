@@ -6,9 +6,11 @@ orthogonal polynomials used by the series evaluators.
 
 The classical kernels (gamma, J, Y, I, K, 2F1) and the Kelvin functions
 of general order (J_nu along the ray arg z = 3*pi/4) are backed by
-``scipy.special``; only the 0F1/0F3 series are summed here directly,
-with compensated summation, an envelope-based stopping rule and
-cancellation tracking.
+``scipy.special``; only the 0F1/0F3 series are summed here directly.
+They are summed one block of 16 terms per numpy pass over the whole
+argument array, with compensated summation of the block sums, a stopping
+rule checked on each block's last three terms (so term counts are
+multiples of the block size) and cancellation tracking.
 
 Every evaluation is pure and reentrant: no caches, no shared state.
 Scalar results are returned as :class:`EvalResult`; the ``*_vec``
@@ -298,38 +300,58 @@ def _check_poles(bs, who: str) -> None:
             raise DomainError(f"{who}: denominator parameter {b!r} is a nonpositive integer")
 
 
+# Series terms formed and summed per numpy pass by _hyp0fq_vec.
+_BLOCK = 16
+
+
 def _hyp0fq_vec(bs: tuple[float, ...], z: np.ndarray, max_terms: int):
-    """Sum sum_k z^k / (k! * prod (b)_k) over an array of z.
+    """Sum sum_k z^k / (k! * prod (b)_k) over an array of z, a block of terms at a time.
 
     Returns (value, abs_err, terms, converged), ``converged`` per element.
-    Compensated summation; stop after three consecutive terms below
-    eps*scale; cancellation is tracked through the running sum of |term|.
+    A block of B = ``_BLOCK`` terms is one (B, n) array: the ratios
+    z / ((k+1) prod(b+k)) from one outer division, turned into terms by one
+    cumulative product down the block.  One reduction per block gives the
+    block sums, which join the running total through a compensated (Kahan)
+    step; a second reduction adds the block's |term| to the running sum of
+    magnitudes that tracks cancellation.  The series stops after the first block whose
+    last three terms are below eps*max(|total|, eps*sum|term|) for every
+    element, so ``terms`` is a multiple of B unless ``max_terms`` (a hard
+    budget) cut the last block short.  The error is |last term| plus
+    4*eps*sum|term|.
     """
     z = np.asarray(z, dtype=float)
-    term = np.ones(z.shape, dtype=float)
+    shape = z.shape
+    z = z.ravel()
+    # (k+1) * prod(b+k) is the product over the parameters (1, *bs) of (b+k):
+    # column i of ``shifts`` holds param_i + j for the block offsets j
+    shifts = np.arange(_BLOCK, dtype=float)[:, None] + np.array((1.0, *bs))
+    term, comp = 1.0, 0.0
     total = np.ones(z.shape, dtype=float)
-    comp = np.zeros(z.shape, dtype=float)
     abs_sum = np.ones(z.shape, dtype=float)
-    small_run = np.zeros(z.shape, dtype=np.int64)
+    last = np.full((3, z.size), np.inf)  # |term| of the last three terms
+    done = np.zeros(z.shape, dtype=bool)
     k = 0
     while k < max_terms:
-        denom = float(k + 1)
-        for b in bs:
-            denom *= b + k
-        term = term * z / denom
-        y = term - comp
+        m = min(_BLOCK, max_terms - k)
+        denom = np.multiply.reduce(shifts[:m] + k, axis=1)
+        terms = z / denom[:, None]  # row j: ratio of term k+j+1 to term k+j
+        terms[0] *= term
+        np.multiply.accumulate(terms, axis=0, out=terms)
+        term = terms[-1]
+        y = np.add.reduce(terms, axis=0) - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        at = np.abs(term)
-        abs_sum += at
+        aterms = np.abs(terms)
+        abs_sum += np.add.reduce(aterms, axis=0)
+        last = aterms[-3:] if m >= 3 else np.concatenate((last, aterms))[-3:]
+        k += m
         scale = np.maximum(np.abs(total), _EPS * abs_sum)
-        small_run = np.where(at <= _EPS * scale, small_run + 1, 0)
-        k += 1
-        if np.all(small_run >= 3):
+        done = np.maximum.reduce(last, axis=0) <= _EPS * scale
+        if np.logical_and.reduce(done):
             break
     err = np.abs(term) + 4.0 * _EPS * abs_sum
-    return total, err, k, small_run >= 3
+    return total.reshape(shape), err.reshape(shape), k, done.reshape(shape)
 
 
 def _hyp0fq_values(bs: tuple[float, ...], z: np.ndarray, max_terms: int) -> np.ndarray:

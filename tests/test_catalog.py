@@ -115,6 +115,15 @@ def test_verify_grid_default_pass():
     assert rep.summary["pass"] == len(rep.entries) >= 4
 
 
+def test_product_series_errors_cover_disagreement():
+    # I-2.35 entries as run_all produces them: each side's error bar must
+    # cover the observed disagreement
+    rep = catalog.verify_grid("I-2.35")
+    assert len(rep.entries) == 5
+    for e in rep.entries:
+        assert abs(e.lhs.value - e.rhs.value) <= e.lhs.abs_err_est + e.rhs.abs_err_est, e.point
+
+
 def test_verify_grid_empty_override():
     with pytest.raises(ConstraintError, match="empty"):
         catalog.verify_grid("I-2.32",

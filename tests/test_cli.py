@@ -181,6 +181,12 @@ def test_verify_grid_csv(capsys, tmp_path):
     code, _, err = run(capsys, ["verify", "I-2.32", "--grid", str(missing)])
     assert code == 4 and "line 2" in err
 
+    extra = tmp_path / "extra.csv"
+    extra.write_text("nu,a,b,p\n0,1,1,1\n0,1,1,1,7\n", encoding="utf-8")
+    code, _, err = run(capsys, ["verify", "I-2.32", "--grid", str(extra)])
+    assert code == 4
+    assert "line 3" in err and "beyond the header" in err and "line 2" not in err
+
 
 def test_verify_csv_format(capsys):
     code, out, _ = run(capsys, ["verify", "I-3.22", "--format", "csv"])

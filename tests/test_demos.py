@@ -1,6 +1,7 @@
-"""Smoke test: the quadrature demo runs against the current API."""
+"""Smoke tests: the kernel and quadrature demos run against the current API."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,11 +9,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_quadrature_demo_runs():
+def _run_demo(name: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "02_quadrature_engines.py")],
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert "semi-infinite with exponential decay" in proc.stdout
+    return proc.stdout
+
+
+def test_kernel_demo_runs():
+    out = _run_demo("01_special_function_kernels.py")
+    terms = re.search(r"hyp0f3\(\.\.\., -1e5\): .* terms=(\d+)", out)
+    assert terms and int(terms.group(1)) % 16 == 0
+
+
+def test_quadrature_demo_runs():
+    assert "semi-infinite with exponential decay" in _run_demo("02_quadrature_engines.py")

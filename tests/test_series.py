@@ -121,6 +121,20 @@ def test_hyp0f1_product_grid():
                 assert rel(lhs, rhs) < 1e-9
 
 
+def test_hyp0f1_product_against_mpmath():
+    # the I-2.35 grid and hard point: the estimate must carry the inner 0F1 errors
+    mpmath = pytest.importorskip("mpmath")
+    points = [(1.0, -0.25, -0.25), (1.5, 0.3, 0.2), (0.7, -2.0, 3.0),
+              (2.5, -6.0, -6.0), (0.3, -6.0, 4.0)]
+    with mpmath.workdps(40):
+        for c, x, y in points:
+            r = se.hyp0f1_product(c, x, y)
+            want = float(mpmath.hyp0f1(c, x) * mpmath.hyp0f1(c, y))
+            assert r.converged
+            assert abs(r.value - want) <= r.abs_err_est, (c, x, y)
+            assert r.abs_err_est < 1e-10 * abs(want)
+
+
 # ----------------------------------------------------------------------
 # weber_triple family
 # ----------------------------------------------------------------------

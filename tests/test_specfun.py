@@ -309,6 +309,49 @@ def test_vec_series_nan_where_not_converged():
     assert not sf.hyp0f3(1.0, 1.0, 1.0, -100.0, max_terms=5).converged
 
 
+# Parameters of the catalog's families (0F1 of I-2.35; 0F3 with
+# (mu+1, nu+1, mu+nu+1), (3/2, nu+1, nu+3/2) and the Kelvin bridge) over the
+# catalog's z windows; the cancelling arguments are added per test
+_HYP_CASES = (
+    [((c,), np.linspace(-25.0, 1.25, 12)) for c in (0.3, 0.7, 1.0, 2.5, 8.5)]
+    + [(bs, np.linspace(-5000.0, 250.0, 12))
+       for bs in ((0.5, 0.5, 1.0), (1.5, 1.5, 1.0), (1.5, 2.0, 2.5), (1.0, 1.0, 1.0),
+                  (0.7, 1.2, 1.9))]
+)
+_CANCELLING = np.array([-1e4, -1e5])
+
+
+def test_hyp0fq_within_error_estimate_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    for bs, z in _HYP_CASES:
+        z = np.concatenate((z, _CANCELLING))
+        scalar = sf.hyp0f1 if len(bs) == 1 else sf.hyp0f3
+        vec = sf.hyp0f1_vec if len(bs) == 1 else sf.hyp0f3_vec
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.hyper([], list(bs), x)) for x in z])
+        v, err, terms, ok = sf._hyp0fq_vec(bs, z, 10000)
+        assert ok.all() and terms % sf._BLOCK == 0, bs
+        assert np.all(np.abs(v - want) <= err), bs
+        np.testing.assert_array_equal(vec(*bs, z), v)
+        for x, w in zip(z, want):
+            r = scalar(*bs, x)
+            assert r.converged and abs(r.value - w) <= r.abs_err_est, (bs, x)
+
+
+def test_hyp0fq_repeatable_and_term_budget_hard():
+    for bs, z in _HYP_CASES:
+        first, again = sf._hyp0fq_vec(bs, z, 10000), sf._hyp0fq_vec(bs, z, 10000)
+        for a, b in zip(first, again):
+            np.testing.assert_array_equal(a, b)
+    assert sf.hyp0f3(1.5, 2.0, 2.5, -300.0) == sf.hyp0f3(1.5, 2.0, 2.5, -300.0)
+    # max_terms cuts the last block short and is never exceeded; z = -1e5
+    # needs three blocks
+    for max_terms in (1, 2, 5, 17, 18, 31):
+        *_, terms, ok = sf._hyp0fq_vec((1.0, 1.0, 1.0), np.array([-1e5, 1e-6]), max_terms)
+        assert terms == max_terms
+        assert not ok[0] and ok[1] == (max_terms >= 3)
+
+
 def test_hyp0f1_matches_bessel_series():
     # 0F1(;1;-z^2/4) = J_0(z)
     r = sf.hyp0f1(1.0, -0.25)
