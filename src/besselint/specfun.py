@@ -318,6 +318,17 @@ def _hyp0fq_vec(bs: tuple[float, ...], z: np.ndarray, max_terms: int):
     element, so ``terms`` is a multiple of B unless ``max_terms`` (a hard
     budget) cut the last block short.  The error is |last term| plus
     4*eps*sum|term|.
+
+    That error is an estimate, not a bound.  Only the block sums are
+    compensated; the B terms inside a block are added plainly, whose worst
+    case is (B-1)*eps*sum|term|, and each term already carries the rounding
+    of its product chain.  Against mpmath at 40 digits on the inputs of
+    ``test_hyp0fq_within_error_estimate_against_mpmath`` (140 points, z down
+    to -1e5) the worst |error|/estimate is 0.53.
+
+    Working set: two (B, n) float arrays (the terms and their magnitudes),
+    about 256 bytes per element of z; the largest n measured for speed is
+    1500 (the ``kernels`` benchmark workload).
     """
     z = np.asarray(z, dtype=float)
     shape = z.shape

@@ -3,22 +3,25 @@
 
 Run from the root of the repository, for example:
 
-    python3 tools/bench_pairs.py --parent HEAD~1 --pr 7 --claim kernels:ops_per_s \\
-        --seed 11 --pairs 10 --extra-seed 31 --extra-pairs 2
+    python3 tools/bench_pairs.py --parent HEAD~1 --pr 7 --extra-seed 43 \\
+        --claim kernels:ops_per_s --change "one line saying what changed"
 
 The parent commit is exported with ``git archive`` into a temporary
 directory (the repository itself is left as it is).  Each pair runs
-``perfbench/run.py --trace 0`` once on the parent and once on the working
-tree, back to back, the parent first in even pairs and the working tree
-first in odd pairs; within a pair the workloads alternate.  ``--probe-pairs``
-more pairs of ``--trace 1`` runs record the layer probes.  One catalog pass
-per side counts the 0F1/0F3 kernel work, the nodes by route and the
-verdicts, and times ``catalog.run_all()``.
+``perfbench/run.py --trace 0`` for ``run_seconds`` of ``BENCHMARK.json``
+once on the parent and once on the working tree, back to back, the parent
+first in even pairs and the working tree first in odd pairs; within a pair
+the workloads alternate.  There are 10 pairs at seed 11 and 2 at
+``--extra-seed``, a seed not used while developing the change.  Two more
+pairs of ``--trace 1`` runs of ``kernels`` record the layer probes.
 
 The result, ``BENCH_<pr>.json``, holds for every workload and seed the
 runs, medians, quartiles, wins and bound checks of the end-to-end metrics
-declared in ``BENCHMARK.json``; the claim, if one is named; the counts;
-and the net line change of ``src/besselint`` and ``tests``.
+declared in ``BENCHMARK.json``; the claim, if one is named; the probes;
+and the net line change of ``src/besselint`` and ``tests``.  A claim is
+met when the change wins at least 9 of the 10 pairs at seed 11, its median
+beats the parent's by more than the parent's interquartile range, and its
+failed share is no larger than the parent's.
 """
 
 from __future__ import annotations
@@ -37,64 +40,25 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Run in a fresh interpreter inside one checkout: one catalog pass with the
-# 0F1/0F3 kernel counted, then the median of three timed passes.
-COUNTS_CHILD = r"""
-import json, statistics, time
-import numpy as np
-from besselint import catalog, specfun
-
-block = getattr(specfun, "_BLOCK", 1)  # a per-term loop makes one pass per term
-kernel = specfun._hyp0fq_vec
-n = {"calls": 0, "terms": 0, "blocks": 0, "points": 0}
-
-def counted(bs, z, max_terms):
-    out = kernel(bs, z, max_terms)
-    n["calls"] += 1
-    n["terms"] += out[2]
-    n["blocks"] += -(-out[2] // block)
-    n["points"] += int(np.size(z))
-    return out
-
-specfun._hyp0fq_vec = counted
-rep = catalog.run_all()
-specfun._hyp0fq_vec = kernel
-nodes = {}
-for e in rep.entries:
-    rec = catalog.get_identity(e.identity)
-    for side, route in ((e.lhs, rec.lhs_route), (e.rhs, rec.rhs_route)):
-        nodes[route] = nodes.get(route, 0) + side.terms_or_nodes_used
-walls = []
-for _ in range(3):
-    t0 = time.perf_counter()
-    catalog.run_all()
-    walls.append(time.perf_counter() - t0)
-print(json.dumps({
-    "hyp0fq_vec": n,
-    "total_nodes": sum(nodes.values()),
-    "nodes_by_route": dict(sorted(nodes.items())),
-    "verdicts": {k: rep.summary[k] for k in ("pass", "fail", "inconclusive")},
-    "run_all_wall_s": round(statistics.median(walls), 4),
-}))
-"""
+SEED = 11
+PAIRS = 10
+EXTRA_PAIRS = 2
+PROBE_PAIRS = 2
+MIN_WINS = 9
 
 
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="commit to compare the working tree with")
     ap.add_argument("--pr", required=True, help="suffix of the output file BENCH_<pr>.json")
+    ap.add_argument("--extra-seed", type=int, required=True,
+                    help=f"a second seed, one not used while developing (not {SEED})")
     ap.add_argument("--change", default="", help="one-line description of the change")
     ap.add_argument("--claim", default=None, help="WORKLOAD:METRIC the change claims to improve")
-    ap.add_argument("--seed", type=int, default=11)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--extra-seed", type=int, default=None,
-                    help="a second seed, one not used while developing")
-    ap.add_argument("--extra-pairs", type=int, default=2)
-    ap.add_argument("--probe-pairs", type=int, default=2)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="seconds per run (default: run_seconds of BENCHMARK.json)")
-    ap.add_argument("--out", default=None, help="output path (default: BENCH_<pr>.json)")
-    return ap.parse_args(argv)
+    args = ap.parse_args(argv)
+    if args.extra_seed == SEED:
+        ap.error(f"--extra-seed must differ from {SEED}")
+    return args
 
 
 def export_commit(commit: str, dest: Path) -> str:
@@ -178,15 +142,6 @@ def end_to_end_block(runs: dict, specs: list[dict], pairs: int) -> dict:
     return out
 
 
-def counts(tree: Path) -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(tree / "src"),
-                                                    env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", COUNTS_CHILD], cwd=tree, env=env,
-                          check=True, capture_output=True, text=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
 def net_lines(parent_sha: str) -> dict:
     out = {}
     for path in ("src/besselint", "tests"):
@@ -201,12 +156,51 @@ def net_lines(parent_sha: str) -> dict:
     return out
 
 
+def claim_block(all_runs: dict, claim: str, extra_seed: int) -> dict:
+    w, name = claim.split(":")
+    main_runs = all_runs[f"{w}@seed{SEED}"]
+    m = main_runs["metrics"][name]
+    gain = abs(m["change"]["median"] - m["parent"]["median"])
+    improved = (m["median_change_rel"] > 0) == (m["better"] == "higher")
+    extra = all_runs[f"{w}@seed{extra_seed}"]["metrics"][name]
+    failed = main_runs["failed_share"]
+    return {
+        "metric": name, "workload": w,
+        f"seed{SEED}": {
+            "parent_median": m["parent"]["median"],
+            "parent_iqr": m["parent_iqr"],
+            "change_median": m["change"]["median"],
+            "change_wins": f"{m['change_wins']}/{PAIRS}",
+            "median_gain_over_parent_iqr": (round(gain / m["parent_iqr"], 1)
+                                            if m["parent_iqr"] else None)},
+        f"seed{extra_seed}": {
+            "parent_runs": extra["parent_runs"], "change_runs": extra["change_runs"],
+            "change_wins": f"{extra['change_wins']}/{EXTRA_PAIRS}"},
+        "met": (improved and m["change_wins"] >= MIN_WINS and gain > m["parent_iqr"]
+                and failed["change"] <= failed["parent"]),
+    }
+
+
+def probe_block(side_runs: dict) -> dict:
+    probes = {}
+    for name in side_runs["parent"][0]["metrics"]:
+        if name.startswith("probe."):
+            vals = {side: [r["metrics"][name]["value"] for r in side_runs[side]]
+                    for side in ("parent", "change")}
+            probes[name] = {
+                "parent_runs": [round(x, 2) for x in vals["parent"]],
+                "change_runs": [round(x, 2) for x in vals["change"]],
+                "parent_median": round(statistics.median(vals["parent"]), 2),
+                "change_median": round(statistics.median(vals["change"]), 2)}
+    return probes
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     specs = bench["end_to_end"]
     workloads = [w["name"] for w in bench["workloads"]]
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     import numpy
     import scipy
 
@@ -223,76 +217,29 @@ def main(argv=None) -> int:
             "command": (f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
                         "--trace 0, from the root of each side (the parent exported by "
                         "git archive, the change in the working tree)"),
-            "protocol": (f"{args.pairs} pairs per workload at seed {args.seed}"
-                         + (f", then {args.extra_pairs} at seed {args.extra_seed}"
-                            if args.extra_seed is not None else "")
-                         + "; within a pair parent and change run back to back, parent "
-                           "first in even pairs and change first in odd pairs; workloads "
-                           "interleaved within each pair"),
+            "protocol": (f"{PAIRS} pairs per workload at seed {SEED}, then {EXTRA_PAIRS} at "
+                         f"seed {args.extra_seed}; within a pair parent and change run back "
+                         "to back, parent first in even pairs and change first in odd pairs; "
+                         "workloads interleaved within each pair"),
         }
-        seeds = [(args.seed, args.pairs)]
-        if args.extra_seed is not None:
-            seeds.append((args.extra_seed, args.extra_pairs))
         all_runs = {}
-        for seed, pairs in seeds:
+        for seed, pairs in ((SEED, PAIRS), (args.extra_seed, EXTRA_PAIRS)):
             runs = run_pairs(trees, workloads, seed, pairs, seconds, 0)
             for w in workloads:
                 all_runs[f"{w}@seed{seed}"] = end_to_end_block(runs[w], specs, pairs)
-
         if args.claim:
-            w, name = args.claim.split(":")
-            main_block = all_runs[f"{w}@seed{args.seed}"]["metrics"][name]
-            gain = abs(main_block["change"]["median"] - main_block["parent"]["median"])
-            improved = (main_block["median_change_rel"] > 0) == (main_block["better"] == "higher")
-            claim = {"metric": name, "workload": w,
-                     f"seed{args.seed}": {
-                         "parent_median": main_block["parent"]["median"],
-                         "parent_iqr": main_block["parent_iqr"],
-                         "change_median": main_block["change"]["median"],
-                         "change_wins": f"{main_block['change_wins']}/{args.pairs}",
-                         "median_gain_over_parent_iqr": (
-                             round(gain / main_block["parent_iqr"], 1)
-                             if main_block["parent_iqr"] else None)}}
-            met = (improved and main_block["change_wins"] >= 0.9 * args.pairs
-                   and gain > main_block["parent_iqr"])
-            if args.extra_seed is not None:
-                extra = all_runs[f"{w}@seed{args.extra_seed}"]["metrics"][name]
-                claim[f"seed{args.extra_seed}"] = {
-                    "parent_runs": extra["parent_runs"], "change_runs": extra["change_runs"],
-                    "change_wins": f"{extra['change_wins']}/{args.extra_pairs}"}
-            claim["met"] = met
-            result["claim"] = claim
+            result["claim"] = claim_block(all_runs, args.claim, args.extra_seed)
         result["end_to_end"] = all_runs
 
-        if args.probe_pairs:
-            runs = run_pairs(trees, ["kernels"], args.seed, args.probe_pairs, seconds, 1)
-            probes = {}
-            for name in runs["kernels"]["parent"][0]["metrics"]:
-                if name.startswith("probe."):
-                    vals = {side: [r["metrics"][name]["value"] for r in runs["kernels"][side]]
-                            for side in ("parent", "change")}
-                    probes[name] = {
-                        "parent_runs": [round(x, 2) for x in vals["parent"]],
-                        "change_runs": [round(x, 2) for x in vals["change"]],
-                        "parent_median": round(statistics.median(vals["parent"]), 2),
-                        "change_median": round(statistics.median(vals["change"]), 2)}
-            result["probes"] = {
-                "how": (f"perfbench/run.py --workload kernels --trace 1 --seed {args.seed}, "
-                        f"{args.probe_pairs} alternating pairs; lower is better"),
-                "metrics": probes}
-
-        result["counts_per_verify_all_pass"] = {
-            "how": ("one catalog.run_all() pass (the points of besselint verify all) with "
-                    "specfun._hyp0fq_vec wrapped: calls, series terms, numpy passes over "
-                    "blocks of terms (one per term where the kernel has no block) and "
-                    "argument points; nodes summed from each side's terms_or_nodes_used "
-                    "by route; run_all_wall_s is the median of three further passes"),
-            "parent": counts(parent_tree),
-            "change": counts(ROOT),
+        runs = run_pairs(trees, ["kernels"], SEED, PROBE_PAIRS, seconds, 1)
+        result["probes"] = {
+            "how": (f"perfbench/run.py --workload kernels --trace 1 --seed {SEED}, "
+                    f"{PROBE_PAIRS} alternating pairs; lower is better"),
+            "metrics": probe_block(runs["kernels"]),
         }
     result["net_lines"] = net_lines(parent_sha)
 
-    out = Path(args.out) if args.out else ROOT / f"BENCH_{args.pr}.json"
+    out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 0
