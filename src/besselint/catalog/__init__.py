@@ -9,6 +9,7 @@ and ``run_all`` does so for the whole manifest.
 
 from __future__ import annotations
 
+import sys
 import time
 import warnings
 from dataclasses import dataclass
@@ -44,7 +45,9 @@ __all__ = [
 
 # Verification tolerance by difficulty class.  Conditionally convergent
 # oscillatory tails and m-th-derivative noise cannot reach 1e-8 in
-# binary64, hence the looser classes.
+# binary64, hence the looser classes.  The quadrature engines are not
+# configured per identity: each is asked for a share of whichever
+# tolerance the verdict uses (see _verify_point).
 DEFAULT_TOLERANCES = {"easy": 1e-8, "oscillatory": 1e-5, "hard": 1e-4}
 DEFAULT_ABS_FLOOR = 1e-14
 
@@ -102,12 +105,29 @@ def _tolerance(record: IdentityRecord, rel_tol: float | None, abs_floor: float) 
     return tol
 
 
+def _verify_point(record: IdentityRecord, point: ParamPoint, rel_tol: float,
+                  abs_floor: float, budgets: Budgets) -> VerificationResult:
+    """Check ``record`` at one point against the relative tolerance ``rel_tol``.
+
+    Each quadrature side is asked for a thousandth of ``rel_tol``, so its
+    error stays well inside the verdict's margin, but for no less than
+    50 eps, QUADPACK's smallest relative request: below that an engine
+    chases roundoff until ``max_evals`` runs out.
+    """
+    pt = validate_point(record, point)
+    tol = max(1e-3 * rel_tol, 50.0 * sys.float_info.epsilon)
+    return compare_sides(record, pt, record.lhs(pt, budgets, tol),
+                         record.rhs(pt, budgets, tol), rel_tol, abs_floor)
+
+
 def evaluate_sides(identity: str, point: ParamPoint,
                    budgets: Budgets = Budgets()) -> tuple[EvalResult, EvalResult]:
-    """Evaluate LHS and RHS of one identity at one admissible point."""
+    """Evaluate LHS and RHS of one identity at one admissible point, as
+    ``verify`` does at the identity's default tolerance."""
     record = get_identity(identity)
-    pt = validate_point(record, point)
-    return record.lhs(pt, budgets), record.rhs(pt, budgets)
+    r = _verify_point(record, point, DEFAULT_TOLERANCES[record.difficulty],
+                      DEFAULT_ABS_FLOOR, budgets)
+    return r.lhs, r.rhs
 
 
 def verify(identity: str, point: ParamPoint, rel_tol: float | None = None,
@@ -121,11 +141,8 @@ def verify(identity: str, point: ParamPoint, rel_tol: float | None = None,
     lhs/rhs ratio in the note.
     """
     record = get_identity(identity)
-    pt = validate_point(record, point)
-    tol = _tolerance(record, rel_tol, abs_floor)
-    lhs = record.lhs(pt, budgets)
-    rhs = record.rhs(pt, budgets)
-    return compare_sides(record, pt, lhs, rhs, tol, abs_floor)
+    return _verify_point(record, point, _tolerance(record, rel_tol, abs_floor),
+                         abs_floor, budgets)
 
 
 @dataclass
@@ -211,9 +228,7 @@ def _verify_points(record: IdentityRecord, points, rel_tol, abs_floor,
     results = []
     for pt in points:
         try:
-            p = validate_point(record, pt)
-            results.append(compare_sides(record, p, record.lhs(p, budgets),
-                                         record.rhs(p, budgets), tol, abs_floor))
+            results.append(_verify_point(record, pt, tol, abs_floor, budgets))
         except Exception as exc:  # a point failure must not abort the grid
             bad = EvalResult(float("nan"), float("inf"), False, 0)
             results.append(VerificationResult(record.id, dict(pt), bad, bad,

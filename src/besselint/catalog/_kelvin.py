@@ -34,70 +34,66 @@ _M = 1e-6
 _KELVIN_RATE = 0.85
 
 
-def _i215_lhs(p, b: Budgets) -> EvalResult:
+def _i215_lhs(p, b: Budgets, tol: float) -> EvalResult:
     a, y = p["a"], p["y"]
     return closed_form(0.5 * math.pi / math.sqrt(1 + y * y) * sp.jv(0, 0.25 * a * a)
                        * math.cosh(0.25 * a * a * y))
 
 
-def _i215_rhs(p, b: Budgets) -> EvalResult:
+def _i215_rhs(p, b: Budgets, tol: float) -> EvalResult:
     a, y = p["a"], p["y"]
     c = a * math.sqrt(1 + y * y)
 
     def fn(t):
         return sp.kve(0, t) * np.exp(-t) * kelvin_ber_vec(0.0, c * np.sqrt(t)) * np.cos(y * t)
 
-    return integrate_semiinf_decaying(fn, 0.0, _KELVIN_RATE, 1e-11,
-                                      max_evals=b.max_evals)
+    return integrate_semiinf_decaying(fn, 0.0, _KELVIN_RATE, tol, max_evals=b.max_evals)
 
 
-def _i216_lhs(p, b: Budgets) -> EvalResult:
+def _i216_lhs(p, b: Budgets, tol: float) -> EvalResult:
     a, y = p["a"], p["y"]
     return closed_form(0.5 * math.pi / math.sqrt(1 + y * y) * sp.jv(0, 0.25 * a * a)
                        * math.sinh(0.25 * a * a * y))
 
 
-def _i216_rhs(p, b: Budgets) -> EvalResult:
+def _i216_rhs(p, b: Budgets, tol: float) -> EvalResult:
     a, y = p["a"], p["y"]
     c = a * math.sqrt(1 + y * y)
 
     def fn(t):
         return sp.kve(0, t) * np.exp(-t) * kelvin_bei_vec(0.0, c * np.sqrt(t)) * np.sin(y * t)
 
-    return integrate_semiinf_decaying(fn, 0.0, _KELVIN_RATE, 1e-11,
-                                      max_evals=b.max_evals)
+    return integrate_semiinf_decaying(fn, 0.0, _KELVIN_RATE, tol, max_evals=b.max_evals)
 
 
-def _i217_lhs(p, b: Budgets) -> EvalResult:
+def _i217_lhs(p, b: Budgets, tol: float) -> EvalResult:
     a, y = p["a"], p["y"]
     return closed_form(sp.iv(0, 0.25 * a * a * y) * math.cos(0.25 * a * a) / math.sqrt(1 + y * y))
 
 
-def _i217_rhs(p, b: Budgets) -> EvalResult:
+def _i217_rhs(p, b: Budgets, tol: float) -> EvalResult:
     a, y = p["a"], p["y"]
     c = a * math.sqrt(1 + y * y)
 
     def fn(t):
         return np.exp(-t) * kelvin_ber_vec(0.0, c * np.sqrt(t)) * sp.jv(0, y * t)
 
-    return integrate_semiinf_decaying(fn, 0.0, _KELVIN_RATE, 1e-11,
-                                      max_evals=b.max_evals)
+    return integrate_semiinf_decaying(fn, 0.0, _KELVIN_RATE, tol, max_evals=b.max_evals)
 
 
-def _i218_lhs(p, b: Budgets) -> EvalResult:
+def _i218_lhs(p, b: Budgets, tol: float) -> EvalResult:
     a, y = p["a"], p["y"]
     return closed_form(sp.iv(0, 0.25 * a * a * y) * math.sin(0.25 * a * a) / math.sqrt(1 + y * y))
 
 
-def _i218_rhs(p, b: Budgets) -> EvalResult:
+def _i218_rhs(p, b: Budgets, tol: float) -> EvalResult:
     a, y = p["a"], p["y"]
     c = a * math.sqrt(1 + y * y)
 
     def fn(t):
         return np.exp(-t) * kelvin_bei_vec(0.0, c * np.sqrt(t)) * sp.jv(0, y * t)
 
-    return integrate_semiinf_decaying(fn, 0.0, _KELVIN_RATE, 1e-11,
-                                      max_evals=b.max_evals)
+    return integrate_semiinf_decaying(fn, 0.0, _KELVIN_RATE, tol, max_evals=b.max_evals)
 
 
 def _ky_space() -> ParamSpace:
@@ -165,12 +161,12 @@ I_2_18 = IdentityRecord(
 # I-2.19 .. I-2.22: inverse representations (oscillatory)
 # ----------------------------------------------------------------------
 
-def _i219_lhs(p, b: Budgets) -> EvalResult:
+def _i219_lhs(p, b: Budgets, tol: float) -> EvalResult:
     a, t = p["a"], p["t"]
     return scaled(kelvin_ber(0.0, a * math.sqrt(t)), sp.kv(0, t), rel=5e-15)
 
 
-def _i219_rhs(p, b: Budgets) -> EvalResult:
+def _i219_rhs(p, b: Budgets, tol: float) -> EvalResult:
     a, t = p["a"], p["t"]
 
     def fn(y):
@@ -178,16 +174,16 @@ def _i219_rhs(p, b: Budgets) -> EvalResult:
         return w ** -0.5 * sp.jv(0, 0.25 * a * a / w) * np.cosh(0.25 * a * a * y / w) * np.cos(t * y)
 
     osc = OscillationDescriptor(math.pi / t, 0.5 * math.pi / t)
-    return integrate_semiinf_oscillatory(fn, 0.0, osc, 1e-8, max_cells=b.max_cells,
+    return integrate_semiinf_oscillatory(fn, 0.0, osc, tol, max_cells=b.max_cells,
                                          max_evals=b.max_evals)
 
 
-def _i220_lhs(p, b: Budgets) -> EvalResult:
+def _i220_lhs(p, b: Budgets, tol: float) -> EvalResult:
     a, t = p["a"], p["t"]
     return scaled(kelvin_bei(0.0, a * math.sqrt(t)), sp.kv(0, t), rel=5e-15)
 
 
-def _i220_rhs(p, b: Budgets) -> EvalResult:
+def _i220_rhs(p, b: Budgets, tol: float) -> EvalResult:
     a, t = p["a"], p["t"]
 
     def fn(y):
@@ -195,16 +191,16 @@ def _i220_rhs(p, b: Budgets) -> EvalResult:
         return w ** -0.5 * sp.jv(0, 0.25 * a * a / w) * np.sinh(0.25 * a * a * y / w) * np.sin(t * y)
 
     osc = OscillationDescriptor(math.pi / t, math.pi / t)
-    return integrate_semiinf_oscillatory(fn, 0.0, osc, 1e-8, max_cells=b.max_cells,
+    return integrate_semiinf_oscillatory(fn, 0.0, osc, tol, max_cells=b.max_cells,
                                          max_evals=b.max_evals)
 
 
-def _i221_lhs(p, b: Budgets) -> EvalResult:
+def _i221_lhs(p, b: Budgets, tol: float) -> EvalResult:
     a, t = p["a"], p["t"]
     return scaled(kelvin_ber(0.0, a * math.sqrt(t)), math.exp(-t) / t, rel=5e-15)
 
 
-def _i221_rhs(p, b: Budgets) -> EvalResult:
+def _i221_rhs(p, b: Budgets, tol: float) -> EvalResult:
     a, t = p["a"], p["t"]
 
     def fn(y):
@@ -213,16 +209,16 @@ def _i221_rhs(p, b: Budgets) -> EvalResult:
                 * np.cos(0.25 * a * a / w) * sp.jv(0, t * y))
 
     osc = OscillationDescriptor(math.pi / t, 2.405 / t)
-    return integrate_semiinf_oscillatory(fn, 0.0, osc, 1e-8, max_cells=b.max_cells,
+    return integrate_semiinf_oscillatory(fn, 0.0, osc, tol, max_cells=b.max_cells,
                                          max_evals=b.max_evals)
 
 
-def _i222_lhs(p, b: Budgets) -> EvalResult:
+def _i222_lhs(p, b: Budgets, tol: float) -> EvalResult:
     a, t = p["a"], p["t"]
     return scaled(kelvin_bei(0.0, a * math.sqrt(t)), math.exp(-t) / t, rel=5e-15)
 
 
-def _i222_rhs(p, b: Budgets) -> EvalResult:
+def _i222_rhs(p, b: Budgets, tol: float) -> EvalResult:
     a, t = p["a"], p["t"]
 
     def fn(y):
@@ -231,7 +227,7 @@ def _i222_rhs(p, b: Budgets) -> EvalResult:
                 * np.sin(0.25 * a * a / w) * sp.jv(0, t * y))
 
     osc = OscillationDescriptor(math.pi / t, 2.405 / t)
-    return integrate_semiinf_oscillatory(fn, 0.0, osc, 1e-8, max_cells=b.max_cells,
+    return integrate_semiinf_oscillatory(fn, 0.0, osc, tol, max_cells=b.max_cells,
                                          max_evals=b.max_evals)
 
 
@@ -300,7 +296,7 @@ I_2_22 = IdentityRecord(
 # I-K1 family: general-order Kelvin under an exponential Laplace kernel
 # ----------------------------------------------------------------------
 
-def _k1_lhs(p, b: Budgets) -> EvalResult:
+def _k1_lhs(p, b: Budgets, tol: float) -> EvalResult:
     nu, th, u = p["nu"], p["theta"], p["u"]
     sn, cn = math.sin(th), math.cos(th)
     s3, c3 = math.sin(1.5 * math.pi * nu), math.cos(1.5 * math.pi * nu)
@@ -311,10 +307,10 @@ def _k1_lhs(p, b: Budgets) -> EvalResult:
         return (sp.ive(nu, x * sn) * np.exp(-lam * x)
                 * (c3 * kelvin_bei_vec(2 * nu, arg) - s3 * kelvin_ber_vec(2 * nu, arg)))
 
-    return integrate_semiinf_decaying(fn, 0.0, lam, 1e-11, max_evals=b.max_evals)
+    return integrate_semiinf_decaying(fn, 0.0, lam, tol, max_evals=b.max_evals)
 
 
-def _k1_rhs(p, b: Budgets) -> EvalResult:
+def _k1_rhs(p, b: Budgets, tol: float) -> EvalResult:
     nu, th, u = p["nu"], p["theta"], p["u"]
     return closed_form(math.sin(u) / math.cos(th) * sp.jv(nu, u * math.sin(th)))
 
@@ -346,7 +342,7 @@ I_K1 = IdentityRecord(
 )
 
 
-def _k1a_lhs(p, b: Budgets) -> EvalResult:
+def _k1a_lhs(p, b: Budgets, tol: float) -> EvalResult:
     n, th, u = int(p["n"]), p["theta"], p["u"]
     sn, cn = math.sin(th), math.cos(th)
     lam = 1.0 - sn
@@ -355,10 +351,10 @@ def _k1a_lhs(p, b: Budgets) -> EvalResult:
         return (sp.ive(2 * n, x * sn) * np.exp(-lam * x)
                 * kelvin_bei_vec(4 * n, 2.0 * cn * np.sqrt(u * x)))
 
-    return integrate_semiinf_decaying(fn, 0.0, lam, 1e-11, max_evals=b.max_evals)
+    return integrate_semiinf_decaying(fn, 0.0, lam, tol, max_evals=b.max_evals)
 
 
-def _k1a_rhs(p, b: Budgets) -> EvalResult:
+def _k1a_rhs(p, b: Budgets, tol: float) -> EvalResult:
     n, th, u = int(p["n"]), p["theta"], p["u"]
     return closed_form((-1.0) ** n * math.sin(u) / math.cos(th) * sp.jv(2 * n, u * math.sin(th)))
 
@@ -390,7 +386,7 @@ I_K1A = IdentityRecord(
 )
 
 
-def _k1b_lhs(p, b: Budgets) -> EvalResult:
+def _k1b_lhs(p, b: Budgets, tol: float) -> EvalResult:
     n, th, u = int(p["n"]), p["theta"], p["u"]
     sn, cn = math.sin(th), math.cos(th)
     lam = 1.0 - sn
@@ -399,10 +395,10 @@ def _k1b_lhs(p, b: Budgets) -> EvalResult:
         return (sp.ive(2 * n + 1, x * sn) * np.exp(-lam * x)
                 * kelvin_ber_vec(4 * n + 2, 2.0 * cn * np.sqrt(u * x)))
 
-    return integrate_semiinf_decaying(fn, 0.0, lam, 1e-11, max_evals=b.max_evals)
+    return integrate_semiinf_decaying(fn, 0.0, lam, tol, max_evals=b.max_evals)
 
 
-def _k1b_rhs(p, b: Budgets) -> EvalResult:
+def _k1b_rhs(p, b: Budgets, tol: float) -> EvalResult:
     n, th, u = int(p["n"]), p["theta"], p["u"]
     return closed_form((-1.0) ** n * math.sin(u) / math.cos(th)
                        * sp.jv(2 * n + 1, u * math.sin(th)))

@@ -41,13 +41,13 @@ def _first_j_zero(nu: float, t: float) -> float:
 # I-2.4  Gamma-product J_mu(ax) J_nu(bx)  vs  0F3/K/I integral
 # ----------------------------------------------------------------------
 
-def _i24_lhs(p, b: Budgets) -> EvalResult:
+def _i24_lhs(p, b: Budgets, tol: float) -> EvalResult:
     mu, nu, a, bb, x = p["mu"], p["nu"], p["a"], p["b"], p["x"]
     return closed_form(gamma(nu + 1) * gamma(mu + 1) * gamma(mu + nu + 1)
                        * sp.jv(mu, a * x) * sp.jv(nu, bb * x))
 
 
-def _i24_rhs(p, b: Budgets) -> EvalResult:
+def _i24_rhs(p, b: Budgets, tol: float) -> EvalResult:
     mu, nu, a, bb, x = p["mu"], p["nu"], p["a"], p["b"], p["x"]
     q = bb / a
     z = 0.5 * a * x * (1.0 - q * q)
@@ -58,7 +58,7 @@ def _i24_rhs(p, b: Budgets) -> EvalResult:
                 * hyp0f3_vec(mu + 1, nu + 1, mu + nu + 1, -(z * t) ** 2, b.max_terms)
                 * sp.kve(mu, 2 * t) * sp.ive(nu, 2 * q * t) * np.exp(-lam * t))
 
-    r = integrate_semiinf_decaying(fn, 0.0, lam, 1e-11, max_evals=b.max_evals)
+    r = integrate_semiinf_decaying(fn, 0.0, lam, tol, max_evals=b.max_evals)
     pref = (4.0 * (0.5 * a * x) ** mu * (0.5 * bb * x) ** nu
             * (1.0 - q * q) ** (mu + nu + 1) * (a / bb) ** nu)
     return scaled(r, pref)
@@ -99,7 +99,7 @@ I_2_4 = IdentityRecord(
 # I-2.6  Mellin-type K*I integral  vs  gamma/2F1 closed form
 # ----------------------------------------------------------------------
 
-def _i26_lhs(p, b: Budgets) -> EvalResult:
+def _i26_lhs(p, b: Budgets, tol: float) -> EvalResult:
     mu, nu, s, q = p["mu"], p["nu"], p["s"], p["q"]
     lam = 2.0 * (1.0 - q)
     gpow = s + nu - mu
@@ -108,11 +108,11 @@ def _i26_lhs(p, b: Budgets) -> EvalResult:
         return t ** s * sp.kve(mu, 2 * t) * sp.ive(nu, 2 * q * t) * np.exp(-lam * t)
 
     hints = (EndpointSingularity(0.0, gpow),) if gpow < 0.0 else ()
-    return integrate_semiinf_decaying(Integrand(fn, singularities=hints), 0.0, lam, 1e-11,
+    return integrate_semiinf_decaying(Integrand(fn, singularities=hints), 0.0, lam, tol,
                                       max_evals=b.max_evals)
 
 
-def _i26_rhs(p, b: Budgets) -> EvalResult:
+def _i26_rhs(p, b: Budgets, tol: float) -> EvalResult:
     mu, nu, s, q = p["mu"], p["nu"], p["s"], p["q"]
     f21 = hyp2f1(0.5 * (nu + mu + s + 1), 0.5 * (nu - mu + s + 1), nu + 1, q * q)
     pref = (q ** nu / (4.0 * gamma(nu + 1))
@@ -155,7 +155,7 @@ I_2_6 = IdentityRecord(
 # I-2.7  Weber-Schafheitlin integral  vs  2F1 closed form
 # ----------------------------------------------------------------------
 
-def _i27_lhs(p, b: Budgets) -> EvalResult:
+def _i27_lhs(p, b: Budgets, tol: float) -> EvalResult:
     mu, nu, s, a, bb = p["mu"], p["nu"], p["s"], p["a"], p["b"]
 
     def fn(x):
@@ -165,11 +165,11 @@ def _i27_lhs(p, b: Budgets) -> EvalResult:
     hints = (EndpointSingularity(0.0, gpow),) if gpow < 0.0 else ()
     per = math.pi / (a + bb)
     osc = OscillationDescriptor(per, max(per, 2.4 / max(a, bb)))
-    return integrate_semiinf_oscillatory(Integrand(fn, singularities=hints), 0.0, osc, 1e-9,
+    return integrate_semiinf_oscillatory(Integrand(fn, singularities=hints), 0.0, osc, tol,
                                          max_cells=b.max_cells, max_evals=b.max_evals)
 
 
-def _i27_rhs(p, b: Budgets) -> EvalResult:
+def _i27_rhs(p, b: Budgets, tol: float) -> EvalResult:
     mu, nu, s, a, bb = p["mu"], p["nu"], p["s"], p["a"], p["b"]
     f21 = hyp2f1(0.5 * (nu - mu - s + 1), 0.5 * (nu + mu - s + 1), nu + 1, (bb / a) ** 2)
     pref = (2.0 ** -s * bb ** nu * a ** (s - nu - 1)
@@ -209,13 +209,13 @@ I_2_7 = IdentityRecord(
 # I-2.9 / I-2.10  J*I closed forms  vs  0F3/K/J integrals
 # ----------------------------------------------------------------------
 
-def _i29_lhs(p, b: Budgets) -> EvalResult:
+def _i29_lhs(p, b: Budgets, tol: float) -> EvalResult:
     mu, nu, a, y = p["mu"], p["nu"], p["a"], p["y"]
     return closed_form(gamma(mu + 1) * gamma(nu + 1) * gamma(mu + nu + 1)
                        * sp.jv(mu, 0.25 * a * a) * sp.iv(nu, 0.25 * a * a * y))
 
 
-def _i29_rhs(p, b: Budgets) -> EvalResult:
+def _i29_rhs(p, b: Budgets, tol: float) -> EvalResult:
     mu, nu, a, y = p["mu"], p["nu"], p["a"], p["y"]
     arg = -(a ** 4 / 256.0) * (1 + y * y) ** 2
 
@@ -224,7 +224,7 @@ def _i29_rhs(p, b: Budgets) -> EvalResult:
                                                 arg * t * t, b.max_terms)
                 * sp.kve(mu, t) * np.exp(-t) * sp.jv(nu, y * t))
 
-    r = integrate_semiinf_decaying(fn, 0.0, 1.0, 1e-11, max_evals=b.max_evals)
+    r = integrate_semiinf_decaying(fn, 0.0, 1.0, tol, max_evals=b.max_evals)
     pref = (a * a / 16.0) ** (mu + nu) * (1 + y * y) ** (mu + nu + 1)
     return scaled(r, pref)
 
@@ -257,14 +257,14 @@ I_2_9 = IdentityRecord(
 )
 
 
-def _i210_lhs(p, b: Budgets) -> EvalResult:
+def _i210_lhs(p, b: Budgets, tol: float) -> EvalResult:
     mu, nu, a, y = p["mu"], p["nu"], p["a"], p["y"]
     w = 1 + y * y
     return closed_form(gamma(mu + 1) * gamma(nu + 1) * gamma(mu + nu + 1)
                        * sp.jv(mu, 4 * a / w) * sp.iv(nu, 4 * a * y / w))
 
 
-def _i210_rhs(p, b: Budgets) -> EvalResult:
+def _i210_rhs(p, b: Budgets, tol: float) -> EvalResult:
     mu, nu, a, y = p["mu"], p["nu"], p["a"], p["y"]
 
     def fn(t):
@@ -272,7 +272,7 @@ def _i210_rhs(p, b: Budgets) -> EvalResult:
                                                 -(a * t) ** 2, b.max_terms)
                 * sp.kve(mu, t) * np.exp(-t) * sp.jv(nu, y * t))
 
-    r = integrate_semiinf_decaying(fn, 0.0, 1.0, 1e-11, max_evals=b.max_evals)
+    r = integrate_semiinf_decaying(fn, 0.0, 1.0, tol, max_evals=b.max_evals)
     pref = (1 + y * y) * a ** (mu + nu)
     return scaled(r, pref)
 
@@ -309,13 +309,13 @@ I_2_10 = IdentityRecord(
 # I-2.11  Hankel-inverted representation (oscillatory)
 # ----------------------------------------------------------------------
 
-def _i211_lhs(p, b: Budgets) -> EvalResult:
+def _i211_lhs(p, b: Budgets, tol: float) -> EvalResult:
     mu, nu, a, t = p["mu"], p["nu"], p["a"], p["t"]
     f = hyp0f3_vec(mu + 1, nu + 1, mu + nu + 1, np.array([-(a * t) ** 2]), b.max_terms)
     return closed_form((a * t) ** (mu + nu) * float(f[0]) * sp.kv(mu, t), rel=1e-13)
 
 
-def _i211_rhs(p, b: Budgets) -> EvalResult:
+def _i211_rhs(p, b: Budgets, tol: float) -> EvalResult:
     mu, nu, a, t = p["mu"], p["nu"], p["a"], p["t"]
 
     def fn(y):
@@ -323,7 +323,7 @@ def _i211_rhs(p, b: Budgets) -> EvalResult:
         return y / w * sp.jv(nu, t * y) * sp.jv(mu, 4 * a / w) * sp.iv(nu, 4 * a * y / w)
 
     osc = OscillationDescriptor(math.pi / t, _first_j_zero(nu, t))
-    r = integrate_semiinf_oscillatory(fn, 0.0, osc, 1e-9, max_cells=b.max_cells,
+    r = integrate_semiinf_oscillatory(fn, 0.0, osc, tol, max_cells=b.max_cells,
                                       max_evals=b.max_evals)
     pref = gamma(mu + 1) * gamma(nu + 1) * gamma(mu + nu + 1)
     return scaled(r, pref)
@@ -363,19 +363,19 @@ I_2_11 = IdentityRecord(
 # I-2.12  Sonine-Gegenbauer limit (oscillatory)
 # ----------------------------------------------------------------------
 
-def _i212_lhs(p, b: Budgets) -> EvalResult:
+def _i212_lhs(p, b: Budgets, tol: float) -> EvalResult:
     mu, nu, t = p["mu"], p["nu"], p["t"]
     return closed_form((0.5 * t) ** (mu + nu) * sp.kv(mu, t))
 
 
-def _i212_rhs(p, b: Budgets) -> EvalResult:
+def _i212_rhs(p, b: Budgets, tol: float) -> EvalResult:
     mu, nu, t = p["mu"], p["nu"], p["t"]
 
     def fn(y):
         return y ** (nu + 1) * (1 + y * y) ** (-(mu + nu + 1)) * sp.jv(nu, t * y)
 
     osc = OscillationDescriptor(math.pi / t, _first_j_zero(nu, t))
-    r = integrate_semiinf_oscillatory(fn, 0.0, osc, 1e-9, max_cells=b.max_cells,
+    r = integrate_semiinf_oscillatory(fn, 0.0, osc, tol, max_cells=b.max_cells,
                                       max_evals=b.max_evals)
     pref = gamma(mu + nu + 1)
     return scaled(r, pref)
@@ -411,17 +411,17 @@ I_2_12 = IdentityRecord(
 # I-2.24  Laplace transform of t^(2nu+1) 0F3  vs  sine closed form
 # ----------------------------------------------------------------------
 
-def _i224_lhs(p, b: Budgets) -> EvalResult:
+def _i224_lhs(p, b: Budgets, tol: float) -> EvalResult:
     nu, al, be = p["nu"], p["alpha"], p["beta"]
 
     def fn(t):
         return (np.exp(-be * t) * t ** (2 * nu + 1)
                 * hyp0f3_vec(1.5, nu + 1, nu + 1.5, -al * t * t, b.max_terms))
 
-    return integrate_semiinf_decaying(fn, 0.0, be, 1e-11, max_evals=b.max_evals)
+    return integrate_semiinf_decaying(fn, 0.0, be, tol, max_evals=b.max_evals)
 
 
-def _i224_rhs(p, b: Budgets) -> EvalResult:
+def _i224_rhs(p, b: Budgets, tol: float) -> EvalResult:
     nu, al, be = p["nu"], p["alpha"], p["beta"]
     return closed_form(gamma(2 * nu + 2) / (4.0 * math.sqrt(al))
                        * be ** (-(2 * nu + 1)) * math.sin(4.0 * math.sqrt(al) / be))
@@ -457,12 +457,12 @@ I_2_24 = IdentityRecord(
 # I-2.25 / I-2.26  finite-interval representations of sin(ax) J_nu(bx)
 # ----------------------------------------------------------------------
 
-def _i225_lhs(p, b: Budgets) -> EvalResult:
+def _i225_lhs(p, b: Budgets, tol: float) -> EvalResult:
     nu, a, bb, x = p["nu"], p["a"], p["b"], p["x"]
     return closed_form(math.sin(a * x) * sp.jv(nu, bb * x))
 
 
-def _i225_core(nu, a, bb, x, b: Budgets) -> EvalResult:
+def _i225_core(nu, a, bb, x, b: Budgets, tol: float) -> EvalResult:
     # the I-2.25 right side; I-2.26 is its a = 1, b = y, x = pi/2 case
     g = nu - 0.5
     c2 = a * a - bb * bb
@@ -471,13 +471,13 @@ def _i225_core(nu, a, bb, x, b: Budgets) -> EvalResult:
         return q ** g / (a + bb * u) ** (2 * nu + 1) * np.sin(c2 * x / (a + bb * u))
 
     r = integrate_finite(_on_unit_interval(fn, g, (-1.0, 1.0)), -1.0, 1.0,
-                         1e-11, abs_floor=1e-16, max_evals=b.max_evals)
+                         tol, abs_floor=1e-16, max_evals=b.max_evals)
     pref = (0.5 * bb * x) ** nu * c2 ** (nu + 0.5) / (math.sqrt(math.pi) * gamma(nu + 0.5))
     return scaled(r, pref)
 
 
-def _i225_rhs(p, b: Budgets) -> EvalResult:
-    return _i225_core(p["nu"], p["a"], p["b"], p["x"], b)
+def _i225_rhs(p, b: Budgets, tol: float) -> EvalResult:
+    return _i225_core(p["nu"], p["a"], p["b"], p["x"], b, tol)
 
 
 I_2_25 = IdentityRecord(
@@ -507,13 +507,13 @@ I_2_25 = IdentityRecord(
 )
 
 
-def _i226_lhs(p, b: Budgets) -> EvalResult:
+def _i226_lhs(p, b: Budgets, tol: float) -> EvalResult:
     nu, y = p["nu"], p["y"]
     return closed_form(sp.jv(nu, 0.5 * math.pi * y))
 
 
-def _i226_rhs(p, b: Budgets) -> EvalResult:
-    return _i225_core(p["nu"], 1.0, p["y"], 0.5 * math.pi, b)
+def _i226_rhs(p, b: Budgets, tol: float) -> EvalResult:
+    return _i225_core(p["nu"], 1.0, p["y"], 0.5 * math.pi, b, tol)
 
 
 I_2_26 = IdentityRecord(
@@ -547,12 +547,12 @@ I_2_26 = IdentityRecord(
 # I-2.30 / I-2.35  pure series identities
 # ----------------------------------------------------------------------
 
-def _i230_lhs(p, b: Budgets) -> EvalResult:
+def _i230_lhs(p, b: Budgets, tol: float) -> EvalResult:
     return se.product_jj_neumann(p["nu"], p["a"], p["b"], p["x"],
                                  max_terms=min(500, b.max_terms))
 
 
-def _i230_rhs(p, b: Budgets) -> EvalResult:
+def _i230_rhs(p, b: Budgets, tol: float) -> EvalResult:
     nu, a, bb, x = p["nu"], p["a"], p["b"], p["x"]
     return closed_form(sp.jv(nu, a * x) * sp.jv(nu, bb * x))
 
@@ -584,11 +584,11 @@ I_2_30 = IdentityRecord(
 )
 
 
-def _i235_lhs(p, b: Budgets) -> EvalResult:
+def _i235_lhs(p, b: Budgets, tol: float) -> EvalResult:
     return se.hyp0f1_product(p["c"], p["x"], p["y"], max_terms=min(500, b.max_terms))
 
 
-def _i235_rhs(p, b: Budgets) -> EvalResult:
+def _i235_rhs(p, b: Budgets, tol: float) -> EvalResult:
     c, x, y = p["c"], p["x"], p["y"]
     rx = hyp0f1(c, x, b.max_terms)
     ry = hyp0f1(c, y, b.max_terms)
@@ -627,12 +627,12 @@ I_2_35 = IdentityRecord(
 # I-2.37 / I-2.38 / I-2.39  cos-kernel finite representations
 # ----------------------------------------------------------------------
 
-def _i237_lhs(p, b: Budgets) -> EvalResult:
+def _i237_lhs(p, b: Budgets, tol: float) -> EvalResult:
     nu, a, bb, x = p["nu"], p["a"], p["b"], p["x"]
     return closed_form(sp.jv(nu, a * x) * sp.jv(nu, bb * x))
 
 
-def _i237_core(nu, c, w, budgets: Budgets) -> EvalResult:
+def _i237_core(nu, c, w, budgets: Budgets, tol: float) -> EvalResult:
     # int_0^1 (1-t^2)^(nu-1/2) cos(c t) 0F3(nu+1, nu/2+1/4, nu/2+3/4; w (1-t^2)^2) dt
     g = nu - 0.5
     b1, b2, b3 = nu + 1.0, 0.5 * nu + 0.25, 0.5 * nu + 0.75
@@ -641,12 +641,12 @@ def _i237_core(nu, c, w, budgets: Budgets) -> EvalResult:
         return q ** g * np.cos(c * t) * hyp0f3_vec(b1, b2, b3, w * q * q, budgets.max_terms)
 
     return integrate_finite(_on_unit_interval(fn, g, (1.0,)), 0.0, 1.0,
-                            1e-11, abs_floor=1e-16, max_evals=budgets.max_evals)
+                            tol, abs_floor=1e-16, max_evals=budgets.max_evals)
 
 
-def _i237_rhs(p, b: Budgets) -> EvalResult:
+def _i237_rhs(p, b: Budgets, tol: float) -> EvalResult:
     nu, a, bb, x = p["nu"], p["a"], p["b"], p["x"]
-    r = _i237_core(nu, x * math.hypot(a, bb), a * a * bb * bb * x ** 4 / 64.0, b)
+    r = _i237_core(nu, x * math.hypot(a, bb), a * a * bb * bb * x ** 4 / 64.0, b, tol)
     pref = 2.0 / (math.pi * gamma(2 * nu + 1)) * (a * bb * x * x) ** nu
     return scaled(r, pref)
 
@@ -678,16 +678,16 @@ I_2_37 = IdentityRecord(
 )
 
 
-def _i238_lhs(p, b: Budgets) -> EvalResult:
+def _i238_lhs(p, b: Budgets, tol: float) -> EvalResult:
     nu, u = p["nu"], p["u"]
     ap = 0.5 * (math.sqrt(u * u + 2) + math.sqrt(u * u - 2))
     am = 0.5 * (math.sqrt(u * u + 2) - math.sqrt(u * u - 2))
     return closed_form(sp.jv(nu, ap) * sp.jv(nu, am))
 
 
-def _i238_rhs(p, b: Budgets) -> EvalResult:
+def _i238_rhs(p, b: Budgets, tol: float) -> EvalResult:
     nu, u = p["nu"], p["u"]
-    r = _i237_core(nu, u, 1.0 / 64.0, b)
+    r = _i237_core(nu, u, 1.0 / 64.0, b, tol)
     pref = 2.0 / (math.pi * gamma(2 * nu + 1))
     return scaled(r, pref)
 
@@ -717,7 +717,7 @@ I_2_38 = IdentityRecord(
 )
 
 
-def _i239_lhs(p, b: Budgets) -> EvalResult:
+def _i239_lhs(p, b: Budgets, tol: float) -> EvalResult:
     a, bb, u = p["a"], p["b"], p["u"]
     c = math.sqrt((a * a + bb * bb) / (2 * a * bb))
 
@@ -726,10 +726,10 @@ def _i239_lhs(p, b: Budgets) -> EvalResult:
         return np.cos(u * c * t) * (sp.iv(1, u * s) + sp.jv(1, u * s)) / s
 
     return integrate_finite(_on_unit_interval(fn, -0.5, (1.0,)), 0.0, 1.0,
-                            1e-11, abs_floor=1e-16, max_evals=b.max_evals)
+                            tol, abs_floor=1e-16, max_evals=b.max_evals)
 
 
-def _i239_rhs(p, b: Budgets) -> EvalResult:
+def _i239_rhs(p, b: Budgets, tol: float) -> EvalResult:
     a, bb, u = p["a"], p["b"], p["u"]
     return closed_form(2.0 / u * math.sin(u * math.sqrt(a / (2 * bb)))
                        * math.sin(u * math.sqrt(bb / (2 * a))))

@@ -80,8 +80,11 @@ class ParamSpace:
         return self.default_grid + self.hard_points
 
 
-# Evaluator signature: (point, budgets) -> EvalResult
-Evaluator = Callable[[ParamPoint, Budgets], EvalResult]
+# Evaluator signature: (point, budgets, tol) -> EvalResult.  ``tol`` is the
+# relative accuracy asked of the side's quadrature engine; the catalog
+# driver derives it from the verify tolerance, and closed-form and series
+# sides ignore it.
+Evaluator = Callable[[ParamPoint, Budgets, float], EvalResult]
 
 
 @dataclass(frozen=True)

@@ -24,17 +24,17 @@ _M = 1e-6
 # I-2.31  Gaussian-weighted single Bessel moment
 # ----------------------------------------------------------------------
 
-def _i231_lhs(p, b: Budgets) -> EvalResult:
+def _i231_lhs(p, b: Budgets, tol: float) -> EvalResult:
     nu, r, pp, c = p["nu"], p["r"], p["p"], p["c"]
     k = nu + 2 * r
 
     def fn(u):
         return 0.5 * np.exp(-pp * u) * u ** (0.5 * k) * sp.jv(k, c * np.sqrt(u))
 
-    return integrate_semiinf_decaying(fn, 0.0, pp, 1e-11, max_evals=b.max_evals)
+    return integrate_semiinf_decaying(fn, 0.0, pp, tol, max_evals=b.max_evals)
 
 
-def _i231_rhs(p, b: Budgets) -> EvalResult:
+def _i231_rhs(p, b: Budgets, tol: float) -> EvalResult:
     nu, r, pp, c = p["nu"], p["r"], p["p"], p["c"]
     k = nu + 2 * r
     return closed_form(c ** k / (2 * pp) ** (k + 1) * math.exp(-c * c / (4 * pp)))
@@ -72,17 +72,17 @@ I_2_31 = IdentityRecord(
 # I-2.32  Weber's second exponential integral
 # ----------------------------------------------------------------------
 
-def _i232_lhs(p, b: Budgets) -> EvalResult:
+def _i232_lhs(p, b: Budgets, tol: float) -> EvalResult:
     nu, a, bb, pp = p["nu"], p["a"], p["b"], p["p"]
 
     def fn(u):
         su = np.sqrt(u)
         return 0.5 * np.exp(-pp * u) * sp.jv(nu, a * su) * sp.jv(nu, bb * su)
 
-    return integrate_semiinf_decaying(fn, 0.0, pp, 1e-11, max_evals=b.max_evals)
+    return integrate_semiinf_decaying(fn, 0.0, pp, tol, max_evals=b.max_evals)
 
 
-def _i232_rhs(p, b: Budgets) -> EvalResult:
+def _i232_rhs(p, b: Budgets, tol: float) -> EvalResult:
     nu, a, bb, pp = p["nu"], p["a"], p["b"], p["p"]
     return closed_form(0.5 / pp * math.exp(-(a * a + bb * bb) / (4 * pp))
                        * sp.iv(nu, a * bb / (2 * pp)))
@@ -119,17 +119,17 @@ I_2_32 = IdentityRecord(
 # I-3.8  triple J0 Laplace transform vs modified-Bessel series
 # ----------------------------------------------------------------------
 
-def _i38_lhs(p, b: Budgets) -> EvalResult:
+def _i38_lhs(p, b: Budgets, tol: float) -> EvalResult:
     al, b1, b2, b3 = p["alpha"], p["beta1"], p["beta2"], p["beta3"]
 
     def fn(x):
         sx = np.sqrt(x)
         return np.exp(-al * x) * sp.jv(0, b1 * sx) * sp.jv(0, b2 * sx) * sp.jv(0, b3 * sx)
 
-    return integrate_semiinf_decaying(fn, 0.0, al, 1e-10, max_evals=b.max_evals)
+    return integrate_semiinf_decaying(fn, 0.0, al, tol, max_evals=b.max_evals)
 
 
-def _i38_rhs(p, b: Budgets) -> EvalResult:
+def _i38_rhs(p, b: Budgets, tol: float) -> EvalResult:
     tp = se.TripleParams(p["alpha"], p["beta1"], p["beta2"], p["beta3"])
     return se.weber_triple(tp, max_terms=min(300, b.max_terms))
 
@@ -164,17 +164,17 @@ I_3_8 = IdentityRecord(
 # I-3.19  J0 Jm Jm generalization (numerical m-th derivative)
 # ----------------------------------------------------------------------
 
-def _i319_lhs(p, b: Budgets) -> EvalResult:
+def _i319_lhs(p, b: Budgets, tol: float) -> EvalResult:
     al, b1, b2, b3, m = p["alpha"], p["beta1"], p["beta2"], p["beta3"], int(p["m"])
 
     def fn(x):
         sx = np.sqrt(x)
         return np.exp(-al * x) * sp.jv(0, b1 * sx) * sp.jv(m, b2 * sx) * sp.jv(m, b3 * sx)
 
-    return integrate_semiinf_decaying(fn, 0.0, al, 1e-10, max_evals=b.max_evals)
+    return integrate_semiinf_decaying(fn, 0.0, al, tol, max_evals=b.max_evals)
 
 
-def _i319_rhs(p, b: Budgets) -> EvalResult:
+def _i319_rhs(p, b: Budgets, tol: float) -> EvalResult:
     tp = se.TripleParams(p["alpha"], p["beta1"], p["beta2"], p["beta3"], int(p["m"]))
     return se.weber_triple_m(tp, max_terms=min(300, b.max_terms))
 
@@ -213,17 +213,17 @@ I_3_19 = IdentityRecord(
 # I-3.20  two-factor limit (finite sum)
 # ----------------------------------------------------------------------
 
-def _i320_lhs(p, b: Budgets) -> EvalResult:
+def _i320_lhs(p, b: Budgets, tol: float) -> EvalResult:
     al, b1, b2, m = p["alpha"], p["beta1"], p["beta2"], int(p["m"])
 
     def fn(x):
         sx = np.sqrt(x)
         return np.exp(-al * x) * sp.jv(0, b1 * sx) * sp.jv(m, b2 * sx) * x ** (0.5 * m)
 
-    return integrate_semiinf_decaying(fn, 0.0, al, 1e-11, max_evals=b.max_evals)
+    return integrate_semiinf_decaying(fn, 0.0, al, tol, max_evals=b.max_evals)
 
 
-def _i320_rhs(p, b: Budgets) -> EvalResult:
+def _i320_rhs(p, b: Budgets, tol: float) -> EvalResult:
     return se.weber_j0jm_limit(p["alpha"], p["beta1"], p["beta2"], int(p["m"]))
 
 
@@ -264,16 +264,16 @@ I_3_20 = IdentityRecord(
 # parameter-dependent ratio otherwise (the RHS matches the transform of
 # x^(2nu-1) 0F3(...)).  Verified as stated, with the ratio logged.
 
-def _i321_lhs(p, b: Budgets) -> EvalResult:
+def _i321_lhs(p, b: Budgets, tol: float) -> EvalResult:
     mu, nu, a, be = p["mu"], p["nu"], p["a"], p["beta"]
 
     def fn(x):
         return np.exp(-be * x) * hyp0f3_vec(mu, nu, nu + 0.5, -(a * x) ** 2, b.max_terms)
 
-    return integrate_semiinf_decaying(fn, 0.0, be, 1e-11, max_evals=b.max_evals)
+    return integrate_semiinf_decaying(fn, 0.0, be, tol, max_evals=b.max_evals)
 
 
-def _i321_rhs(p, b: Budgets) -> EvalResult:
+def _i321_rhs(p, b: Budgets, tol: float) -> EvalResult:
     mu, nu, a, be = p["mu"], p["nu"], p["a"], p["beta"]
     return closed_form((2 * a) ** (1 - mu) * gamma(mu) * gamma(2 * nu)
                        * be ** (mu - 2 * nu - 1) * sp.jv(mu - 1, 4 * a / be))
@@ -312,7 +312,7 @@ I_3_21 = IdentityRecord(
 # I-3.22  four Bessel kinds in one integral
 # ----------------------------------------------------------------------
 
-def _i322_lhs(p, b: Budgets) -> EvalResult:
+def _i322_lhs(p, b: Budgets, tol: float) -> EvalResult:
     a = p["a"]
     lam = 1.0 - a
 
@@ -320,10 +320,10 @@ def _i322_lhs(p, b: Budgets) -> EvalResult:
         return (x * sp.jv(1, a * x) * sp.ive(1, a * x) * sp.yv(0, x) * sp.kve(0, x)
                 * np.exp(-lam * x))
 
-    return integrate_semiinf_decaying(fn, 0.0, lam, 1e-11, max_evals=b.max_evals)
+    return integrate_semiinf_decaying(fn, 0.0, lam, tol, max_evals=b.max_evals)
 
 
-def _i322_rhs(p, b: Budgets) -> EvalResult:
+def _i322_rhs(p, b: Budgets, tol: float) -> EvalResult:
     a = p["a"]
     return closed_form(-math.log1p(-a ** 4) / (2 * math.pi * a * a))
 

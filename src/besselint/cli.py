@@ -172,12 +172,13 @@ def _cmd_list(args) -> int:
 
 def _load_grid_csv(path: str, record) -> ParamSpace:
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        rows = [(reader.line_num, row) for row in reader]  # DictReader skips blank lines
     if not rows:
         raise ConstraintError(f"grid file {path!r} has no data rows")
     points = []
     problems = []
-    for i, row in enumerate(rows, start=2):  # header is line 1
+    for i, row in rows:
         try:
             if None in row:  # DictReader files fields beyond the header under None
                 raise ValueError(f"{len(row[None])} field(s) beyond the header")

@@ -487,8 +487,9 @@ def epsilon_extrapolate(partial_sums: Sequence[float]) -> EvalResult:
 # semi-infinite oscillatory by partition-extrapolation
 # ----------------------------------------------------------------------
 
-# Relative tolerance of each cell, far below any verify tolerance, so that
-# the extrapolation, not the cells, limits the accuracy of the sum.
+# Relative tolerance of each cell, far below what the catalog asks of the
+# engine at its default tolerances, so that the extrapolation, not the
+# cells, limits the accuracy of the sum.
 _CELL_TOL = 1e-13
 
 
@@ -502,10 +503,14 @@ def integrate_semiinf_oscillatory(f, a: float, osc: OscillationDescriptor,
     Cells of one asymptotic period are integrated with the finite engine
     to ``_CELL_TOL``; the partial-sum sequence is extrapolated after each
     new cell and the run stops once two successive extrapolants agree
-    within tol*scale.  Each cell may spend what the cells before it left
-    of ``max_evals``.  The first cell that does not converge ends the run
-    unconverged, with the partial sum, an infinite error estimate and
-    that cell's note.
+    within tol*scale.  A converged run reports the error estimate of
+    QUADPACK's ``qelg`` (Piessens et al. 1983): the sum of the distances
+    from the returned extrapolant to the (up to) three before it, plus
+    the cells' errors; the single distance the stopping rule tests can
+    understate the error several times over.  Each cell may spend what
+    the cells before it left of ``max_evals``.  The first cell that does
+    not converge ends the run unconverged, with the partial sum, an
+    infinite error estimate and that cell's note.
     """
     if not isinstance(osc, OscillationDescriptor):
         raise DomainError(
@@ -523,7 +528,7 @@ def integrate_semiinf_oscillatory(f, a: float, osc: OscillationDescriptor,
     running = 0.0
     cell_err = 0.0
     evals = 0
-    prev_extrap = None
+    extraps: list[float] = []  # the extrapolants so far, oldest first
     hits = 0
     best = None
     best_err = math.inf
@@ -545,21 +550,22 @@ def integrate_semiinf_oscillatory(f, a: float, osc: OscillationDescriptor,
             cell_floor = max(abs_floor, 1e-3 * tol * abs(running))
         if k >= 2:
             corner = diag[2 * (k // 2)]
-            if prev_extrap is not None:
+            if extraps:
                 scale = max(abs(corner), abs_floor / max(tol, _EPS))
-                diff = abs(corner - prev_extrap)
+                diff = abs(corner - extraps[-1])
                 if diff <= tol * scale:
                     hits += 1
                     if hits >= 2:
-                        return EvalResult(corner, diff + cell_err + _EPS * abs(corner),
+                        spread = math.fsum(abs(corner - e) for e in extraps[-3:])
+                        return EvalResult(corner, spread + cell_err + _EPS * abs(corner),
                                           True, evals)
                 else:
                     hits = 0
                 if diff < best_err:
                     best, best_err = corner, diff
-            prev_extrap = corner
+            extraps.append(corner)
         lo, hi = hi, hi + period
-    value = best if best is not None else (prev_extrap if prev_extrap is not None else running)
+    value = best if best is not None else (extraps[-1] if extraps else running)
     return EvalResult(value, best_err + cell_err if math.isfinite(best_err) else math.inf,
                       False, evals,
                       note=f"oscillatory extrapolation stagnated after {max_cells} cells")

@@ -22,7 +22,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy import special as _sp
@@ -479,11 +478,3 @@ def gegenbauer(n: int, lam: float, x: float) -> float:
         p, p_prev = (2.0 * (k + lam) * x * p - (k + 2.0 * lam - 1.0) * p_prev) / (k + 1), p
     return p
 
-
-# array aliases used by integrand code throughout the package
-jv_vec: Callable = _sp.jv
-yv_vec: Callable = _sp.yv
-iv_vec: Callable = _sp.iv
-kv_vec: Callable = _sp.kv
-ive_vec: Callable = _sp.ive
-kve_vec: Callable = _sp.kve

@@ -187,6 +187,12 @@ def test_verify_grid_csv(capsys, tmp_path):
     assert code == 4
     assert "line 3" in err and "beyond the header" in err and "line 2" not in err
 
+    blank = tmp_path / "blank.csv"
+    blank.write_text("nu,a,b,p\n0,1,1,1\n\n0,1,1,-3\n", encoding="utf-8")
+    code, _, err = run(capsys, ["verify", "I-2.32", "--grid", str(blank)])
+    assert code == 4
+    assert "line 4" in err and "line 3" not in err
+
 
 def test_verify_csv_format(capsys):
     code, out, _ = run(capsys, ["verify", "I-3.22", "--format", "csv"])
