@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -265,20 +266,18 @@ def test_oscillatory_error_covers_weber_schafheitlin():
                 / (math.gamma(nu + 1) * math.gamma(0.5 * (mu - nu + s + 1))))
 
     worst = 0.0
-    for mu in (0.0, 1.0, 2.0):
-        for nu in (0.0, 1.0):
-            for s in (0.5, 1.5):
-                for a, b in ((1.0, 0.4), (1.3, 0.7), (2.0, 0.5)):
-                    g = mu + nu - s
-                    if g <= -1.0:  # divergent at 0
-                        continue
-                    f = Integrand(lambda x: x ** -s * sp.jv(mu, a * x) * sp.jv(nu, b * x),
-                                  singularities=(EndpointSingularity(0.0, g),) if g < 0 else ())
-                    per = math.pi / (a + b)
-                    osc = OscillationDescriptor(per, max(per, 2.4 / a))
-                    r = integrate_semiinf_oscillatory(f, 0.0, osc, 1e-8)
-                    assert r.converged
-                    worst = max(worst, abs(r.value - closed(mu, nu, s, a, b)) / r.abs_err_est)
+    for mu, nu, s, (a, b) in itertools.product((0.0, 1.0, 2.0), (0.0, 1.0), (0.5, 1.5),
+                                               ((1.0, 0.4), (1.3, 0.7), (2.0, 0.5))):
+        g = mu + nu - s
+        if g <= -1.0:  # divergent at 0
+            continue
+        f = Integrand(lambda x: x ** -s * sp.jv(mu, a * x) * sp.jv(nu, b * x),
+                      singularities=(EndpointSingularity(0.0, g),) if g < 0 else ())
+        per = math.pi / (a + b)
+        r = integrate_semiinf_oscillatory(f, 0.0, OscillationDescriptor(per, max(per, 2.4 / a)),
+                                          1e-8)
+        assert r.converged
+        worst = max(worst, abs(r.value - closed(mu, nu, s, a, b)) / r.abs_err_est)
     assert worst <= 1.0
 
 
