@@ -7,8 +7,9 @@ The package has four layers:
   ber/bei of real order, 0F1/0F3/2F1, Laguerre, Gegenbauer);
 * :mod:`besselint.quad` -- adaptive finite quadrature plus semi-infinite
   engines for exponentially decaying and oscillatory integrands;
-* :mod:`besselint.series` -- the product/Laplace series evaluators and a
-  Richardson-extrapolated numerical m-th derivative;
+* :mod:`besselint.series` -- the product/Laplace series evaluators, summed
+  by one loop with the 0F1/0F3 stopping rule, and a Richardson-extrapolated
+  numerical m-th derivative;
 * :mod:`besselint.catalog` -- the machine-readable identity manifest:
   each entry evaluates its two sides by independent numerical routes and
   quantifies agreement.
@@ -25,9 +26,8 @@ from .specfun import (DomainError, EvalResult, bessel_i, bessel_i_scaled,
 from .quad import (EndpointSingularity, Integrand, OscillationDescriptor,
                    epsilon_extrapolate, integrate_finite,
                    integrate_semiinf_decaying, integrate_semiinf_oscillatory)
-from .series import (SeriesState, TripleParams, derivative_m, hyp0f1_product,
-                     product_jj_gauss, product_jj_neumann, weber_j0jm_limit,
-                     weber_triple, weber_triple_m)
+from .series import (TripleParams, derivative_m, hyp0f1_product, product_jj_gauss,
+                     product_jj_neumann, weber_j0jm_limit, weber_triple, weber_triple_m)
 
 __all__ = [
     "__version__",
@@ -40,7 +40,7 @@ __all__ = [
     "Integrand", "EndpointSingularity", "OscillationDescriptor",
     "integrate_finite", "integrate_semiinf_decaying",
     "integrate_semiinf_oscillatory", "epsilon_extrapolate",
-    "SeriesState", "TripleParams",
+    "TripleParams",
     "product_jj_gauss", "product_jj_neumann", "hyp0f1_product",
     "weber_triple", "weber_triple_m", "weber_j0jm_limit", "derivative_m",
 ]

@@ -6,13 +6,18 @@ counterpart, the 0F1 product sum, the Laplace-transform series for the
 product of three Bessel functions (with its m-th-derivative
 generalization and the two-factor limit), and the Richardson-extrapolated
 numerical m-th derivative the generalization needs.
+
+Every infinite series here is a generator of its terms summed by
+:func:`_sum_series`, with the stopping rule and error formula of the
+0F1/0F3 kernels in :mod:`besselint.specfun`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy import special as _sp
@@ -20,7 +25,6 @@ from scipy import special as _sp
 from .specfun import DomainError, EvalResult, hyp0f1, log_gamma, scaled
 
 __all__ = [
-    "SeriesState",
     "TripleParams",
     "product_jj_gauss",
     "product_jj_neumann",
@@ -34,37 +38,34 @@ __all__ = [
 _EPS = 2.0 ** -52
 
 
-@dataclass
-class SeriesState:
-    """Running state of a compensated summation.
+def _sum_series(terms: Iterable[tuple], max_terms: int, who: str) -> EvalResult:
+    """Sum the ``(term, size)`` pairs of a series, at most ``max_terms`` of them.
 
-    ``max_partial_abs`` tracks the largest partial-sum magnitude seen, the
-    cancellation signal used by error estimates; ``terms`` only grows.
+    ``size`` is |term| or a bound on it.  The sum is compensated (Kahan) and
+    stops after three sizes in a row at or below eps*max(|total|,
+    eps*sum|term|), the rule of ``specfun._hyp0fq_vec``.  The error is
+    |last term| + 4*eps*sum|term|, with the eps of the terms' dtype, so a
+    longdouble series reports its own roundoff.  ``max_terms`` is a hard
+    budget; a series that runs out of it comes back unconverged, with a note
+    naming ``who``.
     """
-
-    partial_sum: float = 0.0
-    last_term_abs: float = 0.0
-    terms: int = 0
-    max_partial_abs: float = 0.0
-    _comp: float = 0.0
-    _abs_sum: float = 0.0
-
-    def add(self, term: float) -> None:
-        y = term - self._comp
-        t = self.partial_sum + y
-        self._comp = (t - self.partial_sum) - y
-        self.partial_sum = t
-        self.last_term_abs = abs(term)
-        self._abs_sum += abs(term)
-        self.terms += 1
-        if abs(t) > self.max_partial_abs:
-            self.max_partial_abs = abs(t)
-
-    def err_est(self) -> float:
-        return self.last_term_abs + 4.0 * _EPS * self._abs_sum
-
-    def result(self, converged: bool, note: str = "") -> EvalResult:
-        return EvalResult(self.partial_sum, self.err_est(), converged, self.terms, note)
+    total = comp = abs_sum = last = 0.0
+    run = n = 0
+    for term, size in itertools.islice(terms, max_terms):
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        last = abs(term)
+        abs_sum += last
+        n += 1
+        run = run + 1 if size <= _EPS * max(abs(total), _EPS * abs_sum, 1e-305) else 0
+        if run == 3:
+            break
+    eps = float(np.finfo(total).eps) if isinstance(total, np.floating) else _EPS
+    err = last + 4.0 * eps * abs_sum
+    return EvalResult(float(total), float(err), run == 3, n,
+                      note="" if run == 3 else f"{who}: ran past term budget")
 
 
 @dataclass(frozen=True)
@@ -86,11 +87,6 @@ class TripleParams:
                 raise DomainError(f"TripleParams: {name} must be finite >= 0, got {b!r}")
         if self.m < 0:
             raise DomainError(f"TripleParams: m must be >= 0, got {self.m!r}")
-
-
-def _stop(state: SeriesState, run: int, term_abs: float) -> int:
-    scale = max(abs(state.partial_sum), _EPS * state.max_partial_abs, 1e-305)
-    return run + 1 if term_abs <= _EPS * scale else 0
 
 
 # ----------------------------------------------------------------------
@@ -133,33 +129,21 @@ def product_jj_gauss(mu: float, nu: float, a: float, b: float, x: float,
         return EvalResult(1.0 if mu == 0.0 and nu == 0.0 else 0.0, 0.0, True, 1)
 
     ld = np.longdouble
-    ld_eps = float(np.finfo(ld).eps)
     w = (ld(b) / ld(a)) ** 2
     pref = math.exp(mu * math.log(0.5 * a * x) + nu * math.log(0.5 * b * x)
                     - log_gamma(mu + 1.0) - log_gamma(nu + 1.0))
     q = ld(0.25) * ld(a) * ld(a) * ld(x) * ld(x)  # (ax/2)^2
-    coeff = ld(1.0)  # (-1)^m (ax/2)^{2m} / (m! (mu+1)_m)
-    total = _hyp2f1_terminating(0, ld(-mu), ld(nu + 1.0), w)
-    abs_sum = abs(total)
-    last = float(abs(total))
-    run = 0
-    terms = 1
-    converged = False
-    for m in range(1, max_terms + 1):
-        coeff = coeff * (-q) / (ld(m) * ld(mu + m))
-        term = coeff * _hyp2f1_terminating(m, ld(-mu - m), ld(nu + 1.0), w)
-        total = total + term
-        abs_sum += abs(term)
-        last = float(abs(term))
-        terms += 1
-        scale = max(abs(float(total)), _EPS * float(abs_sum), 1e-305)
-        run = run + 1 if last <= _EPS * scale else 0
-        if run >= 3:
-            converged = True
-            break
-    err = pref * (last + 4.0 * ld_eps * float(abs_sum) + _EPS * abs(float(total)))
-    return EvalResult(pref * float(total), err, converged, terms,
-                      note="" if converged else "product_jj_gauss: ran past term budget")
+
+    def terms():
+        coeff = ld(1.0)  # (-1)^m (ax/2)^{2m} / (m! (mu+1)_m)
+        for m in itertools.count():
+            if m:
+                coeff = coeff * (-q) / (ld(m) * ld(mu + m))
+            term = coeff * _hyp2f1_terminating(m, ld(-mu - m), ld(nu + 1.0), w)
+            yield term, abs(term)
+
+    # rel=eps covers rounding the longdouble sum to binary64
+    return scaled(_sum_series(terms(), max_terms, "product_jj_gauss"), pref, _EPS)
 
 
 def product_jj_neumann(nu: float, a: float, b: float, x: float,
@@ -179,19 +163,15 @@ def product_jj_neumann(nu: float, a: float, b: float, x: float,
     if nu + 1.0 <= 0.0 and (nu + 1.0) == math.floor(nu + 1.0):
         raise DomainError(f"product_jj_neumann: nu={nu!r} hits a gamma pole")
 
-    # coeff_r = q^(nu+2r) / (r! Gamma(nu+r+1))
-    coeff = math.exp(nu * math.log(q) - log_gamma(nu + 1.0))
-    state = SeriesState()
-    run = 0
-    for r in range(max_terms):
-        if r > 0:
-            coeff *= q * q / (r * (nu + r))
-        term = coeff * float(_sp.jv(nu + 2 * r, x * c))
-        state.add(term)
-        run = _stop(state, run, coeff)  # envelope: |J| <= 1
-        if run >= 3:
-            return state.result(True)
-    return state.result(False, note="product_jj_neumann: ran past term budget")
+    def terms():
+        # coeff_r = q^(nu+2r) / (r! Gamma(nu+r+1)) bounds the r-th term: |J| <= 1
+        coeff = math.exp(nu * math.log(q) - log_gamma(nu + 1.0))
+        for r in itertools.count():
+            if r:
+                coeff *= q * q / (r * (nu + r))
+            yield coeff * float(_sp.jv(nu + 2 * r, x * c)), coeff
+
+    return _sum_series(terms(), max_terms, "product_jj_neumann")
 
 
 def hyp0f1_product(c: float, x: float, y: float, max_terms: int = 500) -> EvalResult:
@@ -206,26 +186,24 @@ def hyp0f1_product(c: float, x: float, y: float, max_terms: int = 500) -> EvalRe
         raise DomainError(f"hyp0f1_product: c={c!r} is a nonpositive-integer pole")
     xy = x * y
     s = x + y
-    coeff = 1.0
-    state = SeriesState()
     inner_terms = 0
     inner_err = 0.0
-    run = 0
-    for r in range(max_terms):
-        if r > 0:
-            coeff *= xy / (r * (c + r - 1.0) * (c + 2.0 * r - 2.0) * (c + 2.0 * r - 1.0))
-        inner = hyp0f1(c + 2.0 * r, s)
-        inner_terms += inner.terms_or_nodes_used
-        inner_err += abs(coeff) * inner.abs_err_est
-        term = coeff * inner.value
-        state.add(term)
-        run = _stop(state, run, abs(term))
-        if run >= 3:
-            return EvalResult(state.partial_sum, state.err_est() + inner_err, True,
-                              state.terms + inner_terms)
-    return EvalResult(state.partial_sum, state.err_est() + inner_err, False,
-                      state.terms + inner_terms,
-                      note="hyp0f1_product: ran past term budget")
+
+    def terms():
+        nonlocal inner_terms, inner_err
+        coeff = 1.0
+        for r in itertools.count():
+            if r:
+                coeff *= xy / (r * (c + r - 1.0) * (c + 2.0 * r - 2.0) * (c + 2.0 * r - 1.0))
+            inner = hyp0f1(c + 2.0 * r, s)
+            inner_terms += inner.terms_or_nodes_used
+            inner_err += abs(coeff) * inner.abs_err_est
+            term = coeff * inner.value
+            yield term, abs(term)
+
+    outer = _sum_series(terms(), max_terms, "hyp0f1_product")
+    return EvalResult(outer.value, outer.abs_err_est + inner_err, outer.converged,
+                      outer.terms_or_nodes_used + inner_terms, outer.note)
 
 
 # ----------------------------------------------------------------------
@@ -250,23 +228,17 @@ def weber_triple(p: TripleParams, max_terms: int = 300) -> EvalResult:
     z2 = p.beta1 * p.beta3 / (2.0 * al)
     z3 = p.beta2 * p.beta3 / (2.0 * al)
     expo = -(p.beta1 ** 2 + p.beta2 ** 2 + p.beta3 ** 2) / (4.0 * al) + (z1 + z2 + z3)
-    state = SeriesState()
-    run = 0
-    converged = False
-    for n in range(max_terms):
-        w = 1.0 if n == 0 else 2.0 * (-1.0) ** n
-        term = w * float(_sp.ive(n, z1)) * float(_sp.ive(n, z2)) * float(_sp.ive(n, z3))
-        state.add(term)
-        run = _stop(state, run, abs(term))
-        if run >= 3:
-            converged = True
-            break
-    return scaled(EvalResult(state.partial_sum, state.err_est(), converged, state.terms,
-                             note="" if converged else "weber_triple: ran past term budget"),
-                  math.exp(expo) / al)
+
+    def terms():
+        for n in itertools.count():
+            w = 1.0 if n == 0 else 2.0 * (-1.0) ** n
+            term = w * float(_sp.ive(n, z1)) * float(_sp.ive(n, z2)) * float(_sp.ive(n, z3))
+            yield term, abs(term)
+
+    return scaled(_sum_series(terms(), max_terms, "weber_triple"), math.exp(expo) / al)
 
 
-def _triple_m_series(p: TripleParams, x: float, max_terms: int) -> tuple[float, bool]:
+def _triple_m_series(p: TripleParams, x: float, max_terms: int) -> EvalResult:
     # sum over n of (-1)^n (n+m)(2m+n-1)!/n! * I_{m+n}(b2 sqrt(x/a))
     #   * I_{m+n}(b3 sqrt(x/a)) * I_{m+n}(b2 b3/2a); the last factor is
     #   constant in x.  The (-1)^n again belongs to the modified-Bessel
@@ -275,16 +247,15 @@ def _triple_m_series(p: TripleParams, x: float, max_terms: int) -> tuple[float, 
     s = math.sqrt(max(x, 0.0) / al)
     u2, u3 = p.beta2 * s, p.beta3 * s
     zc = p.beta2 * p.beta3 / (2.0 * al)
-    state = SeriesState()
-    run = 0
-    for n in range(max_terms):
-        w = (-1.0) ** n * (n + m) * math.exp(log_gamma(2.0 * m + n) - log_gamma(n + 1.0))
-        term = w * float(_sp.iv(m + n, u2)) * float(_sp.iv(m + n, u3)) * float(_sp.iv(m + n, zc))
-        state.add(term)
-        run = _stop(state, run, abs(term))
-        if run >= 3:
-            return state.partial_sum, True
-    return state.partial_sum, False
+
+    def terms():
+        for n in itertools.count():
+            w = (-1.0) ** n * (n + m) * math.exp(log_gamma(2.0 * m + n) - log_gamma(n + 1.0))
+            term = (w * float(_sp.iv(m + n, u2)) * float(_sp.iv(m + n, u3))
+                    * float(_sp.iv(m + n, zc)))
+            yield term, abs(term)
+
+    return _sum_series(terms(), max_terms, "weber_triple_m")
 
 
 def weber_triple_m(p: TripleParams, max_terms: int = 300) -> EvalResult:
@@ -310,9 +281,9 @@ def weber_triple_m(p: TripleParams, max_terms: int = 300) -> EvalResult:
 
     def g(x: float) -> float:
         nonlocal series_ok
-        val, ok = _triple_m_series(p, x, max_terms)
-        series_ok = series_ok and ok
-        return math.exp(-x) * val
+        r = _triple_m_series(p, x, max_terms)
+        series_ok = series_ok and r.converged
+        return math.exp(-x) * r.value
 
     d = derivative_m(g, x0, m)
     note = d.note

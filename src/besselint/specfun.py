@@ -1,8 +1,9 @@
 """Scalar special-function kernels.
 
 Gamma, Bessel J/Y/I/K of real order, Kelvin ber/bei of real order,
-generalized hypergeometric series (0F1, 0F3, 2F1) and the classical
-orthogonal polynomials used by the series evaluators.
+generalized hypergeometric series (0F1, 0F3, 2F1) and the Laguerre and
+Gegenbauer polynomials (offered through ``besselint eval``; no evaluator
+calls them).
 
 The classical kernels (gamma, J, Y, I, K, 2F1) and the Kelvin functions
 of general order (J_nu along the ray arg z = 3*pi/4) are backed by
@@ -10,7 +11,9 @@ of general order (J_nu along the ray arg z = 3*pi/4) are backed by
 They are summed one block of 16 terms per numpy pass over the whole
 argument array, with compensated summation of the block sums, a stopping
 rule checked on each block's last three terms (so term counts are
-multiples of the block size) and cancellation tracking.
+multiples of the block size) and cancellation tracking.  A scalar 0F1/0F3
+whose error estimate exceeds its value has no correct digit left and is
+reported unconverged.
 
 Every evaluation is pure and reentrant: no caches, no shared state.
 Scalar results are returned as :class:`EvalResult`; the ``*_vec``
@@ -390,9 +393,14 @@ def _hyp0fq_scalar(bs, z: float, max_terms: int, who: str) -> EvalResult:
     if z < -1e6:
         raise DomainError(f"{who}: z={z!r} below the supported window z >= -1e6")
     v, err, terms, done = _hyp0fq_vec(tuple(float(b) for b in bs), np.array([z]), max_terms)
-    ok = bool(done[0])
-    return EvalResult(float(v[0]), float(err[0]), ok, terms,
-                      note="" if ok else f"{who}: stopping rule not met in {max_terms} terms")
+    v, err = float(v[0]), float(err[0])
+    if not done[0]:
+        note = f"{who}: stopping rule not met in {max_terms} terms"
+    elif err > abs(v):
+        note = f"{who}: cancellation left no correct digit (error estimate {err:.1e})"
+    else:
+        note = ""
+    return EvalResult(v, err, not note, terms, note)
 
 
 def hyp0f1(c: float, z: float, max_terms: int = 10000) -> EvalResult:

@@ -1,4 +1,4 @@
-"""Smoke tests: the kernel and quadrature demos run against the current API."""
+"""Smoke tests: the kernel, quadrature and product-series demos run against the current API."""
 
 import os
 import re
@@ -27,3 +27,9 @@ def test_kernel_demo_runs():
 
 def test_quadrature_demo_runs():
     assert "semi-infinite with exponential decay" in _run_demo("02_quadrature_engines.py")
+
+
+def test_product_series_demo_runs():
+    out = _run_demo("03_product_series.py")
+    diffs = [float(d) for d in re.findall(r"rel diff = (\S+)", out)]
+    assert len(diffs) == 3 and max(diffs) < 1e-5

@@ -7,7 +7,7 @@ from scipy import special as sp
 
 from besselint import series as se
 from besselint.quad import integrate_semiinf_decaying
-from besselint.series import SeriesState, TripleParams
+from besselint.series import TripleParams
 from besselint.specfun import DomainError, bessel_j, hyp0f1
 
 import oracles
@@ -18,17 +18,57 @@ def rel(a, b):
 
 
 # ----------------------------------------------------------------------
-# SeriesState bookkeeping
+# the shared summation loop
 # ----------------------------------------------------------------------
 
-def test_series_state_tracking():
-    s = SeriesState()
-    for term in (1.0, -0.5, 0.25, -0.125):
-        s.add(term)
-    assert s.terms == 4
-    assert s.last_term_abs == 0.125
-    assert s.max_partial_abs >= abs(s.partial_sum)
-    assert abs(s.partial_sum - 0.625) < 1e-15
+def test_sum_series_compensated_and_counted():
+    # ten terms of 1e-16 vanish one by one against 1 in plain summation; their
+    # sizes (bounds) of 1 keep the sum going until the three zeros
+    values = [1.0] + [1e-16] * 10
+    r = se._sum_series(itertools.chain(((v, 1.0) for v in values), [(0.0, 0.0)] * 3),
+                       100, "demo")
+    assert r.value == math.fsum(values) > 1.0 + 2.0 ** -52
+    assert r.converged and r.terms_or_nodes_used == 14 and r.note == ""
+    assert r.abs_err_est == pytest.approx(4.0 * 2.0 ** -52)
+
+
+def test_sum_series_stops_after_third_small_size():
+    # sizes, not terms, drive the stop: a bound of 0 marks a term negligible
+    seen = []
+
+    def terms():
+        for k in itertools.count():
+            seen.append(k)
+            yield 0.5 ** k, (0.0 if k in (1, 2, 4, 5, 6) else 1.0)
+
+    r = se._sum_series(terms(), 100, "demo")
+    assert r.converged and r.terms_or_nodes_used == 7 and seen == list(range(7))
+
+
+_BUDGET_CASES = {
+    "product_jj_gauss": (0.0, 0.0, 2.0, 1.0, 5.0),
+    "product_jj_neumann": (0.0, 1.0, 2.0, 5.0),
+    "hyp0f1_product": (1.5, 2.0, 3.0),
+    "weber_triple": (TripleParams(1.0, 1.0, 1.0, 1.0),),
+    "weber_triple_m": (TripleParams(1.0, 1.0, 1.0, 1.0, 1),),
+}
+
+
+@pytest.mark.parametrize("who", sorted(_BUDGET_CASES))
+def test_series_term_budget(who, monkeypatch):
+    # every outer series spends exactly max_terms and says which function ran out
+    outer = []
+    real = se._sum_series
+
+    def spy(terms, max_terms, name):
+        r = real(terms, max_terms, name)
+        outer.append(r.terms_or_nodes_used)
+        return r
+
+    monkeypatch.setattr(se, "_sum_series", spy)
+    r = getattr(se, who)(*_BUDGET_CASES[who], max_terms=3)
+    assert not r.converged and who in r.note
+    assert outer and set(outer) == {3}
 
 
 # ----------------------------------------------------------------------

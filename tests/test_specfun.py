@@ -335,7 +335,20 @@ def test_hyp0fq_within_error_estimate_against_mpmath():
         np.testing.assert_array_equal(vec(*bs, z), v)
         for x, w in zip(z, want):
             r = scalar(*bs, x)
-            assert r.converged and abs(r.value - w) <= r.abs_err_est, (bs, x)
+            # the 0F1 sums at -1e4 and -1e5 keep no correct digit
+            assert r.converged == (r.abs_err_est <= abs(r.value)), (bs, x)
+            assert abs(r.value - w) <= r.abs_err_est, (bs, x)
+
+
+def test_scalar_hyp0fq_unconverged_when_no_digit_correct():
+    # the sums cancel below their own error estimate: flagged, not returned as converged
+    for r, who in ((sf.hyp0f1(0.3, -400.0), "hyp0f1"), (sf.hyp0f1(0.3, -1e5), "hyp0f1"),
+                   (sf.hyp0f3(1.5, 2.0, 2.5, -1e6), "hyp0f3")):
+        assert r.abs_err_est > abs(r.value)
+        assert not r.converged and r.note.startswith(who)
+    # z = -25, the edge of the catalog's 0F1 window, keeps its digits
+    r = sf.hyp0f1(0.3, -25.0)
+    assert r.converged and r.abs_err_est < 1e-10 * abs(r.value)
 
 
 def test_hyp0fq_repeatable_and_term_budget_hard():
