@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import sys
 import time
-import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -243,21 +242,11 @@ def _report(entries: list[VerificationResult], policy: dict, t0: float) -> Repor
     return Report(__version__, _utc_now(), policy, entries, time.perf_counter() - t0)
 
 
-def _ignore_jobs(jobs: int) -> None:
-    if jobs != 1:
-        warnings.warn("jobs is deprecated and ignored: points are verified serially",
-                      DeprecationWarning, stacklevel=3)
-
-
 def verify_grid(identity: str, space_override: ParamSpace | None = None,
                 rel_tol: float | None = None,
                 abs_floor: float = DEFAULT_ABS_FLOOR,
-                budgets: Budgets = Budgets(), jobs: int = 1) -> Report:
-    """Verify one identity over its default (or an overriding) grid.
-
-    ``jobs`` is deprecated and ignored; points are verified serially.
-    """
-    _ignore_jobs(jobs)
+                budgets: Budgets = Budgets()) -> Report:
+    """Verify one identity over its default (or an overriding) grid, serially."""
     record = get_identity(identity)
     points = _grid_of(record, space_override)
     t0 = time.perf_counter()
@@ -268,12 +257,8 @@ def verify_grid(identity: str, space_override: ParamSpace | None = None,
 
 def run_all(rel_tol: float | None = None,
             abs_floor: float = DEFAULT_ABS_FLOOR,
-            budgets: Budgets = Budgets(), jobs: int = 1) -> Report:
-    """Verify every identity on its default grid; one aggregated report.
-
-    ``jobs`` is deprecated and ignored; points are verified serially.
-    """
-    _ignore_jobs(jobs)
+            budgets: Budgets = Budgets()) -> Report:
+    """Verify every identity on its default grid, serially; one aggregated report."""
     t0 = time.perf_counter()
     entries = []
     for record in _ALL:

@@ -16,13 +16,11 @@ import math
 import numpy as np
 from scipy import special as sp
 
-from ..specfun import EvalResult, kelvin_bei, kelvin_bei_vec, kelvin_ber, kelvin_ber_vec
+from ..specfun import (EvalResult, closed_form, kelvin_bei, kelvin_bei_vec, kelvin_ber,
+                       kelvin_ber_vec, scaled)
 from ..quad import (OscillationDescriptor, integrate_semiinf_decaying,
                     integrate_semiinf_oscillatory)
-from ._records import (Budgets, Constraint, IdentityRecord, ParamSpace,
-                       closed_form, scaled)
-
-_M = 1e-6
+from ._records import Budgets, Constraint, IdentityRecord, ParamSpace
 
 
 # ----------------------------------------------------------------------
@@ -34,6 +32,21 @@ _M = 1e-6
 _KELVIN_RATE = 0.85
 
 
+def _ky_rhs(p, b: Budgets, tol: float, bei: bool, k0: bool) -> EvalResult:
+    # int_0^inf w(t) ber|bei(a sqrt((1+y^2) t)) v(yt) dt with w = K_0 and
+    # v = cos|sin (I-2.15, I-2.16), or w = e^-t and v = J_0 (I-2.17, I-2.18)
+    a, y = p["a"], p["y"]
+    c = a * math.sqrt(1 + y * y)
+
+    def fn(t):
+        kel = (kelvin_bei_vec if bei else kelvin_ber_vec)(0.0, c * np.sqrt(t))
+        if k0:
+            return sp.kve(0, t) * np.exp(-t) * kel * (np.sin if bei else np.cos)(y * t)
+        return np.exp(-t) * kel * sp.jv(0, y * t)
+
+    return integrate_semiinf_decaying(fn, 0.0, _KELVIN_RATE, tol, max_evals=b.max_evals)
+
+
 def _i215_lhs(p, b: Budgets, tol: float) -> EvalResult:
     a, y = p["a"], p["y"]
     return closed_form(0.5 * math.pi / math.sqrt(1 + y * y) * sp.jv(0, 0.25 * a * a)
@@ -41,13 +54,7 @@ def _i215_lhs(p, b: Budgets, tol: float) -> EvalResult:
 
 
 def _i215_rhs(p, b: Budgets, tol: float) -> EvalResult:
-    a, y = p["a"], p["y"]
-    c = a * math.sqrt(1 + y * y)
-
-    def fn(t):
-        return sp.kve(0, t) * np.exp(-t) * kelvin_ber_vec(0.0, c * np.sqrt(t)) * np.cos(y * t)
-
-    return integrate_semiinf_decaying(fn, 0.0, _KELVIN_RATE, tol, max_evals=b.max_evals)
+    return _ky_rhs(p, b, tol, bei=False, k0=True)
 
 
 def _i216_lhs(p, b: Budgets, tol: float) -> EvalResult:
@@ -57,13 +64,7 @@ def _i216_lhs(p, b: Budgets, tol: float) -> EvalResult:
 
 
 def _i216_rhs(p, b: Budgets, tol: float) -> EvalResult:
-    a, y = p["a"], p["y"]
-    c = a * math.sqrt(1 + y * y)
-
-    def fn(t):
-        return sp.kve(0, t) * np.exp(-t) * kelvin_bei_vec(0.0, c * np.sqrt(t)) * np.sin(y * t)
-
-    return integrate_semiinf_decaying(fn, 0.0, _KELVIN_RATE, tol, max_evals=b.max_evals)
+    return _ky_rhs(p, b, tol, bei=True, k0=True)
 
 
 def _i217_lhs(p, b: Budgets, tol: float) -> EvalResult:
@@ -72,13 +73,7 @@ def _i217_lhs(p, b: Budgets, tol: float) -> EvalResult:
 
 
 def _i217_rhs(p, b: Budgets, tol: float) -> EvalResult:
-    a, y = p["a"], p["y"]
-    c = a * math.sqrt(1 + y * y)
-
-    def fn(t):
-        return np.exp(-t) * kelvin_ber_vec(0.0, c * np.sqrt(t)) * sp.jv(0, y * t)
-
-    return integrate_semiinf_decaying(fn, 0.0, _KELVIN_RATE, tol, max_evals=b.max_evals)
+    return _ky_rhs(p, b, tol, bei=False, k0=False)
 
 
 def _i218_lhs(p, b: Budgets, tol: float) -> EvalResult:
@@ -87,13 +82,7 @@ def _i218_lhs(p, b: Budgets, tol: float) -> EvalResult:
 
 
 def _i218_rhs(p, b: Budgets, tol: float) -> EvalResult:
-    a, y = p["a"], p["y"]
-    c = a * math.sqrt(1 + y * y)
-
-    def fn(t):
-        return np.exp(-t) * kelvin_bei_vec(0.0, c * np.sqrt(t)) * sp.jv(0, y * t)
-
-    return integrate_semiinf_decaying(fn, 0.0, _KELVIN_RATE, tol, max_evals=b.max_evals)
+    return _ky_rhs(p, b, tol, bei=True, k0=False)
 
 
 def _ky_space() -> ParamSpace:
@@ -161,74 +150,73 @@ I_2_18 = IdentityRecord(
 # I-2.19 .. I-2.22: inverse representations (oscillatory)
 # ----------------------------------------------------------------------
 
-def _i219_lhs(p, b: Budgets, tol: float) -> EvalResult:
+def _kt_lhs(p, bei: bool, weight: float) -> EvalResult:
+    # weight * ber|bei(a sqrt(t)): the left sides of I-2.19 .. I-2.22
+    kel = (kelvin_bei if bei else kelvin_ber)(0.0, p["a"] * math.sqrt(p["t"]))
+    return scaled(kel, weight, rel=5e-15)
+
+
+def _i219_rhs_core(p, b: Budgets, tol: float, odd: bool, first_zero: float) -> EvalResult:
+    # int_0^inf (1+y^2)^(-1/2) J_0(a^2/(4(1+y^2))) cosh|sinh(a^2 y/(4(1+y^2))) cos|sin(ty) dy,
+    # the right side of I-2.19 (cosh, cos) and of I-2.20 (sinh, sin)
     a, t = p["a"], p["t"]
-    return scaled(kelvin_ber(0.0, a * math.sqrt(t)), sp.kv(0, t), rel=5e-15)
+
+    def fn(y):
+        w = 1 + y * y
+        return (w ** -0.5 * sp.jv(0, 0.25 * a * a / w)
+                * (np.sinh if odd else np.cosh)(0.25 * a * a * y / w)
+                * (np.sin if odd else np.cos)(t * y))
+
+    osc = OscillationDescriptor(math.pi / t, first_zero)
+    return integrate_semiinf_oscillatory(fn, 0.0, osc, tol, max_cells=b.max_cells,
+                                         max_evals=b.max_evals)
+
+
+def _i221_rhs_core(p, b: Budgets, tol: float, odd: bool) -> EvalResult:
+    # int_0^inf y (1+y^2)^(-1/2) I_0(a^2 y/(4(1+y^2))) cos|sin(a^2/(4(1+y^2))) J_0(ty) dy,
+    # the right side of I-2.21 (cos) and of I-2.22 (sin)
+    a, t = p["a"], p["t"]
+
+    def fn(y):
+        w = 1 + y * y
+        return (y * w ** -0.5 * sp.iv(0, 0.25 * a * a * y / w)
+                * (np.sin if odd else np.cos)(0.25 * a * a / w) * sp.jv(0, t * y))
+
+    osc = OscillationDescriptor(math.pi / t, 2.405 / t)
+    return integrate_semiinf_oscillatory(fn, 0.0, osc, tol, max_cells=b.max_cells,
+                                         max_evals=b.max_evals)
+
+
+def _i219_lhs(p, b: Budgets, tol: float) -> EvalResult:
+    return _kt_lhs(p, bei=False, weight=sp.kv(0, p["t"]))
 
 
 def _i219_rhs(p, b: Budgets, tol: float) -> EvalResult:
-    a, t = p["a"], p["t"]
-
-    def fn(y):
-        w = 1 + y * y
-        return w ** -0.5 * sp.jv(0, 0.25 * a * a / w) * np.cosh(0.25 * a * a * y / w) * np.cos(t * y)
-
-    osc = OscillationDescriptor(math.pi / t, 0.5 * math.pi / t)
-    return integrate_semiinf_oscillatory(fn, 0.0, osc, tol, max_cells=b.max_cells,
-                                         max_evals=b.max_evals)
+    return _i219_rhs_core(p, b, tol, odd=False, first_zero=0.5 * math.pi / p["t"])
 
 
 def _i220_lhs(p, b: Budgets, tol: float) -> EvalResult:
-    a, t = p["a"], p["t"]
-    return scaled(kelvin_bei(0.0, a * math.sqrt(t)), sp.kv(0, t), rel=5e-15)
+    return _kt_lhs(p, bei=True, weight=sp.kv(0, p["t"]))
 
 
 def _i220_rhs(p, b: Budgets, tol: float) -> EvalResult:
-    a, t = p["a"], p["t"]
-
-    def fn(y):
-        w = 1 + y * y
-        return w ** -0.5 * sp.jv(0, 0.25 * a * a / w) * np.sinh(0.25 * a * a * y / w) * np.sin(t * y)
-
-    osc = OscillationDescriptor(math.pi / t, math.pi / t)
-    return integrate_semiinf_oscillatory(fn, 0.0, osc, tol, max_cells=b.max_cells,
-                                         max_evals=b.max_evals)
+    return _i219_rhs_core(p, b, tol, odd=True, first_zero=math.pi / p["t"])
 
 
 def _i221_lhs(p, b: Budgets, tol: float) -> EvalResult:
-    a, t = p["a"], p["t"]
-    return scaled(kelvin_ber(0.0, a * math.sqrt(t)), math.exp(-t) / t, rel=5e-15)
+    return _kt_lhs(p, bei=False, weight=math.exp(-p["t"]) / p["t"])
 
 
 def _i221_rhs(p, b: Budgets, tol: float) -> EvalResult:
-    a, t = p["a"], p["t"]
-
-    def fn(y):
-        w = 1 + y * y
-        return (y * w ** -0.5 * sp.iv(0, 0.25 * a * a * y / w)
-                * np.cos(0.25 * a * a / w) * sp.jv(0, t * y))
-
-    osc = OscillationDescriptor(math.pi / t, 2.405 / t)
-    return integrate_semiinf_oscillatory(fn, 0.0, osc, tol, max_cells=b.max_cells,
-                                         max_evals=b.max_evals)
+    return _i221_rhs_core(p, b, tol, odd=False)
 
 
 def _i222_lhs(p, b: Budgets, tol: float) -> EvalResult:
-    a, t = p["a"], p["t"]
-    return scaled(kelvin_bei(0.0, a * math.sqrt(t)), math.exp(-t) / t, rel=5e-15)
+    return _kt_lhs(p, bei=True, weight=math.exp(-p["t"]) / p["t"])
 
 
 def _i222_rhs(p, b: Budgets, tol: float) -> EvalResult:
-    a, t = p["a"], p["t"]
-
-    def fn(y):
-        w = 1 + y * y
-        return (y * w ** -0.5 * sp.iv(0, 0.25 * a * a * y / w)
-                * np.sin(0.25 * a * a / w) * sp.jv(0, t * y))
-
-    osc = OscillationDescriptor(math.pi / t, 2.405 / t)
-    return integrate_semiinf_oscillatory(fn, 0.0, osc, tol, max_cells=b.max_cells,
-                                         max_evals=b.max_evals)
+    return _i221_rhs_core(p, b, tol, odd=True)
 
 
 def _kt_space() -> ParamSpace:
@@ -296,18 +284,25 @@ I_2_22 = IdentityRecord(
 # I-K1 family: general-order Kelvin under an exponential Laplace kernel
 # ----------------------------------------------------------------------
 
-def _k1_lhs(p, b: Budgets, tol: float) -> EvalResult:
-    nu, th, u = p["nu"], p["theta"], p["u"]
+def _k1_core(nu: float, p, kelvin, b: Budgets, tol: float) -> EvalResult:
+    # int_0^inf e^(-x) I_nu(x sin th) kelvin(2 cos th sqrt(ux)) dx, the left side
+    # of I-K1, I-K1a and I-K1b; ``kelvin`` maps the argument array to the
+    # member's ber/bei combination
+    th, u = p["theta"], p["u"]
     sn, cn = math.sin(th), math.cos(th)
-    s3, c3 = math.sin(1.5 * math.pi * nu), math.cos(1.5 * math.pi * nu)
     lam = 1.0 - sn
 
     def fn(x):
-        arg = 2.0 * cn * np.sqrt(u * x)
-        return (sp.ive(nu, x * sn) * np.exp(-lam * x)
-                * (c3 * kelvin_bei_vec(2 * nu, arg) - s3 * kelvin_ber_vec(2 * nu, arg)))
+        return sp.ive(nu, x * sn) * np.exp(-lam * x) * kelvin(2.0 * cn * np.sqrt(u * x))
 
     return integrate_semiinf_decaying(fn, 0.0, lam, tol, max_evals=b.max_evals)
+
+
+def _k1_lhs(p, b: Budgets, tol: float) -> EvalResult:
+    nu = p["nu"]
+    s3, c3 = math.sin(1.5 * math.pi * nu), math.cos(1.5 * math.pi * nu)
+    return _k1_core(nu, p, lambda z: (c3 * kelvin_bei_vec(2 * nu, z)
+                                      - s3 * kelvin_ber_vec(2 * nu, z)), b, tol)
 
 
 def _k1_rhs(p, b: Budgets, tol: float) -> EvalResult:
@@ -342,30 +337,8 @@ I_K1 = IdentityRecord(
 )
 
 
-def _k1a_lhs(p, b: Budgets, tol: float) -> EvalResult:
-    n, th, u = int(p["n"]), p["theta"], p["u"]
-    sn, cn = math.sin(th), math.cos(th)
-    lam = 1.0 - sn
-
-    def fn(x):
-        return (sp.ive(2 * n, x * sn) * np.exp(-lam * x)
-                * kelvin_bei_vec(4 * n, 2.0 * cn * np.sqrt(u * x)))
-
-    return integrate_semiinf_decaying(fn, 0.0, lam, tol, max_evals=b.max_evals)
-
-
-def _k1a_rhs(p, b: Budgets, tol: float) -> EvalResult:
-    n, th, u = int(p["n"]), p["theta"], p["u"]
-    return closed_form((-1.0) ** n * math.sin(u) / math.cos(th) * sp.jv(2 * n, u * math.sin(th)))
-
-
-I_K1A = IdentityRecord(
-    id="I-K1a",
-    statement=("int_0^inf e^(-x) I_2n(x sin th) bei_4n(2 cos th sqrt(ux)) dx = "
-               "(-1)^n sec th sin u J_2n(u sin th)"),
-    family="Kelvin representation",
-    params=("n", "theta", "u"),
-    space=ParamSpace(
+def _k1n_space() -> ParamSpace:
+    return ParamSpace(
         constraints=(
             Constraint("n integer >= 0",
                        lambda p: p["n"] >= 0.0 and float(p["n"]).is_integer()),
@@ -379,7 +352,26 @@ I_K1A = IdentityRecord(
             {"n": 1, "theta": 0.5, "u": 1.0},
         ),
         hard_points=({"n": 1, "theta": 1.1, "u": 2.0},),
-    ),
+    )
+
+
+def _k1a_lhs(p, b: Budgets, tol: float) -> EvalResult:
+    n = int(p["n"])
+    return _k1_core(2 * n, p, lambda z: kelvin_bei_vec(4 * n, z), b, tol)
+
+
+def _k1a_rhs(p, b: Budgets, tol: float) -> EvalResult:
+    n, th, u = int(p["n"]), p["theta"], p["u"]
+    return closed_form((-1.0) ** n * math.sin(u) / math.cos(th) * sp.jv(2 * n, u * math.sin(th)))
+
+
+I_K1A = IdentityRecord(
+    id="I-K1a",
+    statement=("int_0^inf e^(-x) I_2n(x sin th) bei_4n(2 cos th sqrt(ux)) dx = "
+               "(-1)^n sec th sin u J_2n(u sin th)"),
+    family="Kelvin representation",
+    params=("n", "theta", "u"),
+    space=_k1n_space(),
     lhs=_k1a_lhs, rhs=_k1a_rhs,
     lhs_route="quadrature:decaying", rhs_route="closed-form",
     difficulty="easy",
@@ -387,15 +379,8 @@ I_K1A = IdentityRecord(
 
 
 def _k1b_lhs(p, b: Budgets, tol: float) -> EvalResult:
-    n, th, u = int(p["n"]), p["theta"], p["u"]
-    sn, cn = math.sin(th), math.cos(th)
-    lam = 1.0 - sn
-
-    def fn(x):
-        return (sp.ive(2 * n + 1, x * sn) * np.exp(-lam * x)
-                * kelvin_ber_vec(4 * n + 2, 2.0 * cn * np.sqrt(u * x)))
-
-    return integrate_semiinf_decaying(fn, 0.0, lam, tol, max_evals=b.max_evals)
+    n = int(p["n"])
+    return _k1_core(2 * n + 1, p, lambda z: kelvin_ber_vec(4 * n + 2, z), b, tol)
 
 
 def _k1b_rhs(p, b: Budgets, tol: float) -> EvalResult:
@@ -410,21 +395,7 @@ I_K1B = IdentityRecord(
                "(-1)^n sec th sin u J_(2n+1)(u sin th)"),
     family="Kelvin representation",
     params=("n", "theta", "u"),
-    space=ParamSpace(
-        constraints=(
-            Constraint("n integer >= 0",
-                       lambda p: p["n"] >= 0.0 and float(p["n"]).is_integer()),
-            Constraint("0 < theta < pi/2 (with margin)",
-                       lambda p: 0.0 < p["theta"] <= 0.5 * math.pi - 1e-2),
-            Constraint("u > 0", lambda p: p["u"] > 0.0),
-        ),
-        default_grid=(
-            {"n": 0, "theta": 0.5, "u": 1.0},
-            {"n": 0, "theta": 0.9, "u": 1.7},
-            {"n": 1, "theta": 0.5, "u": 1.0},
-        ),
-        hard_points=({"n": 1, "theta": 1.1, "u": 2.0},),
-    ),
+    space=_k1n_space(),
     lhs=_k1b_lhs, rhs=_k1b_rhs,
     lhs_route="quadrature:decaying", rhs_route="closed-form",
     difficulty="easy",

@@ -10,15 +10,12 @@ import numpy as np
 from scipy import special as sp
 
 from .. import series as se
-from ..specfun import EvalResult, gamma, hyp0f1, hyp0f3_vec, hyp2f1
+from ..specfun import (EvalResult, closed_form, gamma, hyp0f1, hyp0f3_vec, hyp2f1,
+                       scaled)
 from ..quad import (EndpointSingularity, Integrand, OscillationDescriptor,
                     integrate_finite, integrate_semiinf_decaying,
                     integrate_semiinf_oscillatory)
-from ._records import (Budgets, Constraint, IdentityRecord, ParamSpace,
-                       closed_form, scaled)
-
-G = math.gamma
-_M = 1e-6  # strict-inequality margin
+from ._records import _M, Budgets, Constraint, IdentityRecord, ParamSpace
 
 
 def _on_unit_interval(f, g: float, ends: tuple[float, ...]) -> Integrand:
@@ -215,18 +212,22 @@ def _i29_lhs(p, b: Budgets, tol: float) -> EvalResult:
                        * sp.jv(mu, 0.25 * a * a) * sp.iv(nu, 0.25 * a * a * y))
 
 
-def _i29_rhs(p, b: Budgets, tol: float) -> EvalResult:
-    mu, nu, a, y = p["mu"], p["nu"], p["a"], p["y"]
-    arg = -(a ** 4 / 256.0) * (1 + y * y) ** 2
-
+def _i29_core(mu, nu, y, z, pref: float, b: Budgets, tol: float) -> EvalResult:
+    # pref * int_0^inf t^(mu+nu+1) 0F3(mu+1, nu+1, mu+nu+1; z(t)) K_mu(t) J_nu(yt) dt,
+    # the right side of I-2.9 and of I-2.10, each with its own argument z(t)
     def fn(t):
-        return (t ** (mu + nu + 1) * hyp0f3_vec(mu + 1, nu + 1, mu + nu + 1,
-                                                arg * t * t, b.max_terms)
+        return (t ** (mu + nu + 1) * hyp0f3_vec(mu + 1, nu + 1, mu + nu + 1, z(t), b.max_terms)
                 * sp.kve(mu, t) * np.exp(-t) * sp.jv(nu, y * t))
 
     r = integrate_semiinf_decaying(fn, 0.0, 1.0, tol, max_evals=b.max_evals)
-    pref = (a * a / 16.0) ** (mu + nu) * (1 + y * y) ** (mu + nu + 1)
     return scaled(r, pref)
+
+
+def _i29_rhs(p, b: Budgets, tol: float) -> EvalResult:
+    mu, nu, a, y = p["mu"], p["nu"], p["a"], p["y"]
+    arg = -(a ** 4 / 256.0) * (1 + y * y) ** 2
+    pref = (a * a / 16.0) ** (mu + nu) * (1 + y * y) ** (mu + nu + 1)
+    return _i29_core(mu, nu, y, lambda t: arg * t * t, pref, b, tol)
 
 
 I_2_9 = IdentityRecord(
@@ -266,15 +267,7 @@ def _i210_lhs(p, b: Budgets, tol: float) -> EvalResult:
 
 def _i210_rhs(p, b: Budgets, tol: float) -> EvalResult:
     mu, nu, a, y = p["mu"], p["nu"], p["a"], p["y"]
-
-    def fn(t):
-        return (t ** (mu + nu + 1) * hyp0f3_vec(mu + 1, nu + 1, mu + nu + 1,
-                                                -(a * t) ** 2, b.max_terms)
-                * sp.kve(mu, t) * np.exp(-t) * sp.jv(nu, y * t))
-
-    r = integrate_semiinf_decaying(fn, 0.0, 1.0, tol, max_evals=b.max_evals)
-    pref = (1 + y * y) * a ** (mu + nu)
-    return scaled(r, pref)
+    return _i29_core(mu, nu, y, lambda t: -(a * t) ** 2, (1 + y * y) * a ** (mu + nu), b, tol)
 
 
 I_2_10 = IdentityRecord(

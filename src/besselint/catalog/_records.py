@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from ..specfun import DomainError, EvalResult, closed_form, scaled
+from ..specfun import DomainError, EvalResult
 
 __all__ = [
     "ParamPoint",
@@ -18,8 +18,6 @@ __all__ = [
     "UnknownIdentityError",
     "ConstraintError",
     "point_key",
-    "closed_form",
-    "scaled",
     "STATUS_PASS",
     "STATUS_FAIL",
     "STATUS_INCONCLUSIVE",
@@ -32,6 +30,8 @@ ParamPoint = Mapping[str, float]
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
 STATUS_INCONCLUSIVE = "inconclusive"
+
+_M = 1e-6  # strict-inequality margin of the parameter-space constraints
 
 
 class UnknownIdentityError(KeyError):
@@ -49,9 +49,6 @@ class Budgets:
     max_terms: int = 10_000
     max_cells: int = 200
     max_evals: int = 1_000_000
-
-
-DEFAULT_BUDGETS = Budgets()
 
 
 @dataclass(frozen=True)

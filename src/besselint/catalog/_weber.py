@@ -13,11 +13,26 @@ import numpy as np
 from scipy import special as sp
 
 from .. import series as se
-from ..specfun import EvalResult, gamma, hyp0f3_vec
+from ..specfun import EvalResult, closed_form, gamma, hyp0f3_vec
 from ..quad import integrate_semiinf_decaying
-from ._records import Budgets, Constraint, IdentityRecord, ParamSpace, closed_form
+from ._records import _M, Budgets, Constraint, IdentityRecord, ParamSpace
 
-_M = 1e-6
+
+def _laplace_j(scale: float, rate: float, factors: tuple, b: Budgets,
+               tol: float) -> EvalResult:
+    """int_0^inf scale e^(-rate x) prod(factors) dx by the decaying engine.
+
+    A factor (m, beta) is J_m(beta sqrt(x)) and a bare number p is x^p; they
+    multiply in the order given, so each member keeps its own rounding.
+    """
+    def fn(x):
+        sx = np.sqrt(x)
+        out = scale * np.exp(-rate * x)
+        for f in factors:
+            out = out * (sp.jv(f[0], f[1] * sx) if isinstance(f, tuple) else x ** f)
+        return out
+
+    return integrate_semiinf_decaying(fn, 0.0, rate, tol, max_evals=b.max_evals)
 
 
 # ----------------------------------------------------------------------
@@ -25,13 +40,8 @@ _M = 1e-6
 # ----------------------------------------------------------------------
 
 def _i231_lhs(p, b: Budgets, tol: float) -> EvalResult:
-    nu, r, pp, c = p["nu"], p["r"], p["p"], p["c"]
-    k = nu + 2 * r
-
-    def fn(u):
-        return 0.5 * np.exp(-pp * u) * u ** (0.5 * k) * sp.jv(k, c * np.sqrt(u))
-
-    return integrate_semiinf_decaying(fn, 0.0, pp, tol, max_evals=b.max_evals)
+    k = p["nu"] + 2 * p["r"]
+    return _laplace_j(0.5, p["p"], (0.5 * k, (k, p["c"])), b, tol)
 
 
 def _i231_rhs(p, b: Budgets, tol: float) -> EvalResult:
@@ -73,13 +83,8 @@ I_2_31 = IdentityRecord(
 # ----------------------------------------------------------------------
 
 def _i232_lhs(p, b: Budgets, tol: float) -> EvalResult:
-    nu, a, bb, pp = p["nu"], p["a"], p["b"], p["p"]
-
-    def fn(u):
-        su = np.sqrt(u)
-        return 0.5 * np.exp(-pp * u) * sp.jv(nu, a * su) * sp.jv(nu, bb * su)
-
-    return integrate_semiinf_decaying(fn, 0.0, pp, tol, max_evals=b.max_evals)
+    nu = p["nu"]
+    return _laplace_j(0.5, p["p"], ((nu, p["a"]), (nu, p["b"])), b, tol)
 
 
 def _i232_rhs(p, b: Budgets, tol: float) -> EvalResult:
@@ -120,13 +125,8 @@ I_2_32 = IdentityRecord(
 # ----------------------------------------------------------------------
 
 def _i38_lhs(p, b: Budgets, tol: float) -> EvalResult:
-    al, b1, b2, b3 = p["alpha"], p["beta1"], p["beta2"], p["beta3"]
-
-    def fn(x):
-        sx = np.sqrt(x)
-        return np.exp(-al * x) * sp.jv(0, b1 * sx) * sp.jv(0, b2 * sx) * sp.jv(0, b3 * sx)
-
-    return integrate_semiinf_decaying(fn, 0.0, al, tol, max_evals=b.max_evals)
+    return _laplace_j(1.0, p["alpha"], ((0, p["beta1"]), (0, p["beta2"]), (0, p["beta3"])),
+                      b, tol)
 
 
 def _i38_rhs(p, b: Budgets, tol: float) -> EvalResult:
@@ -165,13 +165,9 @@ I_3_8 = IdentityRecord(
 # ----------------------------------------------------------------------
 
 def _i319_lhs(p, b: Budgets, tol: float) -> EvalResult:
-    al, b1, b2, b3, m = p["alpha"], p["beta1"], p["beta2"], p["beta3"], int(p["m"])
-
-    def fn(x):
-        sx = np.sqrt(x)
-        return np.exp(-al * x) * sp.jv(0, b1 * sx) * sp.jv(m, b2 * sx) * sp.jv(m, b3 * sx)
-
-    return integrate_semiinf_decaying(fn, 0.0, al, tol, max_evals=b.max_evals)
+    m = int(p["m"])
+    return _laplace_j(1.0, p["alpha"], ((0, p["beta1"]), (m, p["beta2"]), (m, p["beta3"])),
+                      b, tol)
 
 
 def _i319_rhs(p, b: Budgets, tol: float) -> EvalResult:
@@ -214,13 +210,8 @@ I_3_19 = IdentityRecord(
 # ----------------------------------------------------------------------
 
 def _i320_lhs(p, b: Budgets, tol: float) -> EvalResult:
-    al, b1, b2, m = p["alpha"], p["beta1"], p["beta2"], int(p["m"])
-
-    def fn(x):
-        sx = np.sqrt(x)
-        return np.exp(-al * x) * sp.jv(0, b1 * sx) * sp.jv(m, b2 * sx) * x ** (0.5 * m)
-
-    return integrate_semiinf_decaying(fn, 0.0, al, tol, max_evals=b.max_evals)
+    m = int(p["m"])
+    return _laplace_j(1.0, p["alpha"], ((0, p["beta1"]), (m, p["beta2"]), 0.5 * m), b, tol)
 
 
 def _i320_rhs(p, b: Budgets, tol: float) -> EvalResult:

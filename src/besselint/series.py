@@ -9,7 +9,11 @@ numerical m-th derivative the generalization needs.
 
 Every infinite series here is a generator of its terms summed by
 :func:`_sum_series`, with the stopping rule and error formula of the
-0F1/0F3 kernels in :mod:`besselint.specfun`.
+0F1/0F3 kernels in :mod:`besselint.specfun`.  The Gauss-sum term m is
+the longdouble dot product of the two Bessel power series' coefficient
+runs over k + j = m (their Cauchy product).  The 0F1 product, like the
+scalar 0F1, comes back unconverged when an inner 0F1 did not converge or
+its error estimate exceeds its value.
 """
 
 from __future__ import annotations
@@ -93,28 +97,20 @@ class TripleParams:
 # products of two Bessel functions
 # ----------------------------------------------------------------------
 
-def _hyp2f1_terminating(m: int, b, c, z):
-    # 2F1(-m, b; c; z) summed exactly over its m+1 terms (dtype-generic)
-    term = z / z if z != 0 else 1.0  # one in the operand dtype
-    total = term
-    for j in range(m):
-        term = term * (j - m) * (b + j) * z / ((c + j) * (j + 1))
-        total = total + term
-    return total
-
-
 def product_jj_gauss(mu: float, nu: float, a: float, b: float, x: float,
                      max_terms: int = 2000) -> EvalResult:
     """J_mu(a x) * J_nu(b x) by the expansion in Gauss sums.
 
-    Outer sum over m of (-1)^m (ax/2)^(2m) / (m! (mu+1)_m) times the
-    terminating 2F1(-m, -mu-m; nu+1; b^2/a^2), normalized by the gamma
-    prefactors.  Serves as the series oracle for the direct product;
-    requires 0 < b <= a so the 2F1 argument stays in [0, 1].
+    The m-th term, (-1)^m (ax/2)^(2m) / (m! (mu+1)_m) times the terminating
+    2F1(-m, -mu-m; nu+1; b^2/a^2), is the Cauchy product of the two power
+    series: the dot product of A_k = (-(ax/2)^2)^k / (k! (mu+1)_k) with
+    B_j = (-(bx/2)^2)^j / (j! (nu+1)_j) over k + j = m, normalized by the
+    gamma prefactors.  Serves as the series oracle for the direct product;
+    requires 0 < b <= a.
 
     The outer sum cancels like exp(2 b x) while the result stays O(1),
-    so the accumulation runs in extended precision (longdouble) to hold
-    the 1e-8 agreement window out to a x ~ 10.
+    so the coefficients and the sum are held in extended precision
+    (longdouble) to hold the 1e-8 agreement window out to a x ~ 10.
     """
     mu, nu, a, b, x = float(mu), float(nu), float(a), float(b), float(x)
     if not (0.0 < b <= a):
@@ -129,21 +125,29 @@ def product_jj_gauss(mu: float, nu: float, a: float, b: float, x: float,
         return EvalResult(1.0 if mu == 0.0 and nu == 0.0 else 0.0, 0.0, True, 1)
 
     ld = np.longdouble
-    w = (ld(b) / ld(a)) ** 2
-    pref = math.exp(mu * math.log(0.5 * a * x) + nu * math.log(0.5 * b * x)
-                    - log_gamma(mu + 1.0) - log_gamma(nu + 1.0))
-    q = ld(0.25) * ld(a) * ld(a) * ld(x) * ld(x)  # (ax/2)^2
+    parts = (mu * math.log(0.5 * a * x), nu * math.log(0.5 * b * x),
+             -log_gamma(mu + 1.0), -log_gamma(nu + 1.0))
+    pref = math.exp(math.fsum(parts))
+    qa = ld(0.25) * ld(a) * ld(a) * ld(x) * ld(x)  # (ax/2)^2
+    qb = ld(0.25) * ld(b) * ld(b) * ld(x) * ld(x)  # (bx/2)^2
 
     def terms():
-        coeff = ld(1.0)  # (-1)^m (ax/2)^{2m} / (m! (mu+1)_m)
+        A = np.ones(64, dtype=ld)
+        B = np.ones(64, dtype=ld)
         for m in itertools.count():
+            if m == A.size:
+                A, B = np.resize(A, 2 * m), np.resize(B, 2 * m)
             if m:
-                coeff = coeff * (-q) / (ld(m) * ld(mu + m))
-            term = coeff * _hyp2f1_terminating(m, ld(-mu - m), ld(nu + 1.0), w)
+                A[m] = A[m - 1] * (-qa) / (m * (ld(mu) + m))
+                B[m] = B[m - 1] * (-qb) / (m * (ld(nu) + m))
+            term = np.dot(A[:m + 1], B[m::-1])
             yield term, abs(term)
 
-    # rel=eps covers rounding the longdouble sum to binary64
-    return scaled(_sum_series(terms(), max_terms, "product_jj_gauss"), pref, _EPS)
+    # an error d in the exponent moves pref by d relative; math.lgamma is
+    # good to about 6.3 eps*max(1, |value|) against mpmath, and 2 eps more
+    # cover exp and rounding the longdouble sum to binary64
+    rel = _EPS * (2.0 + 8.0 * sum(max(1.0, abs(t)) for t in parts))
+    return scaled(_sum_series(terms(), max_terms, "product_jj_gauss"), pref, rel)
 
 
 def product_jj_neumann(nu: float, a: float, b: float, x: float,
@@ -179,7 +183,8 @@ def hyp0f1_product(c: float, x: float, y: float, max_terms: int = 500) -> EvalRe
 
     Sums sum_r (xy)^r / (r! (c)_r (c)_2r) * 0F1(;c+2r;x+y).  The error
     estimate adds sum_r |coeff_r| * (error of the r-th inner 0F1) to that of
-    the outer sum.
+    the outer sum.  Like the scalar 0F1, the result is unconverged when an
+    inner 0F1 did not converge or the estimate exceeds |value|.
     """
     c, x, y = float(c), float(x), float(y)
     if c <= 0.0 and c == math.floor(c):
@@ -188,9 +193,10 @@ def hyp0f1_product(c: float, x: float, y: float, max_terms: int = 500) -> EvalRe
     s = x + y
     inner_terms = 0
     inner_err = 0.0
+    inner_ok = True
 
     def terms():
-        nonlocal inner_terms, inner_err
+        nonlocal inner_terms, inner_err, inner_ok
         coeff = 1.0
         for r in itertools.count():
             if r:
@@ -198,12 +204,21 @@ def hyp0f1_product(c: float, x: float, y: float, max_terms: int = 500) -> EvalRe
             inner = hyp0f1(c + 2.0 * r, s)
             inner_terms += inner.terms_or_nodes_used
             inner_err += abs(coeff) * inner.abs_err_est
+            inner_ok = inner_ok and inner.converged
             term = coeff * inner.value
             yield term, abs(term)
 
     outer = _sum_series(terms(), max_terms, "hyp0f1_product")
-    return EvalResult(outer.value, outer.abs_err_est + inner_err, outer.converged,
-                      outer.terms_or_nodes_used + inner_terms, outer.note)
+    err = outer.abs_err_est + inner_err
+    if not outer.converged:
+        note = outer.note
+    elif not inner_ok:
+        note = "hyp0f1_product: an inner 0F1 did not converge"
+    elif err > abs(outer.value):
+        note = f"hyp0f1_product: cancellation left no correct digit (error estimate {err:.1e})"
+    else:
+        note = ""
+    return EvalResult(outer.value, err, not note, outer.terms_or_nodes_used + inner_terms, note)
 
 
 # ----------------------------------------------------------------------

@@ -7,11 +7,12 @@ calls them).
 
 The classical kernels (gamma, J, Y, I, K, 2F1) and the Kelvin functions
 of general order (J_nu along the ray arg z = 3*pi/4) are backed by
-``scipy.special``; only the 0F1/0F3 series are summed here directly.
-They are summed one block of 16 terms per numpy pass over the whole
-argument array, with compensated summation of the block sums, a stopping
-rule checked on each block's last three terms (so term counts are
-multiples of the block size) and cancellation tracking.  A scalar 0F1/0F3
+``scipy.special``; the six J/Y/I/K wrappers share one order and domain
+check (``_bessel``), as ber and bei do (``_kelvin_scalar``).  Only the
+0F1/0F3 series are summed here directly, one block of 16 terms per numpy
+pass over the whole argument array, with compensated summation of the
+block sums, a stopping rule checked on each block's last three terms (so
+term counts are multiples of the block size) and cancellation tracking.  A scalar 0F1/0F3
 whose error estimate exceeds its value has no correct digit left and is
 reported unconverged.
 
@@ -164,15 +165,27 @@ def log_gamma(x: float) -> float:
 # Bessel J, Y, I, K wrappers
 # ----------------------------------------------------------------------
 
+def _bessel(fn, nu: float, x: float, who: str, positive: bool) -> EvalResult:
+    """``fn(nu, x)`` as a closed form after the order and domain checks.
+
+    ``positive`` asks for x > 0 (Y, K); otherwise x >= 0, with x = 0 only
+    for nu >= 0 (J, I).
+    """
+    nu = _check_order(nu, who)
+    x = float(x)
+    if positive:
+        if x <= 0.0:
+            raise DomainError(f"{who}: requires x > 0, got x={x!r}")
+    elif x < 0.0:
+        raise DomainError(f"{who}: requires x >= 0, got x={x!r}")
+    elif x == 0.0 and nu < 0.0:
+        raise DomainError(f"{who}: x = 0 is only admissible for nu >= 0")
+    return closed_form(fn(nu, x))
+
+
 def bessel_j(nu: float, x: float) -> EvalResult:
     """Bessel function of the first kind J_nu(x), x >= 0."""
-    nu = _check_order(nu, "bessel_j")
-    x = float(x)
-    if x < 0.0:
-        raise DomainError(f"bessel_j: requires x >= 0, got x={x!r}")
-    if x == 0.0 and nu < 0.0:
-        raise DomainError("bessel_j: x = 0 is only admissible for nu >= 0")
-    return closed_form(_sp.jv(nu, x))
+    return _bessel(_sp.jv, nu, x, "bessel_j", False)
 
 
 def bessel_y(nu: float, x: float) -> EvalResult:
@@ -181,11 +194,7 @@ def bessel_y(nu: float, x: float) -> EvalResult:
     Integer orders go through the limiting form internally, never the
     cot(nu*pi) combination.
     """
-    nu = _check_order(nu, "bessel_y")
-    x = float(x)
-    if x <= 0.0:
-        raise DomainError(f"bessel_y: requires x > 0, got x={x!r}")
-    return closed_form(_sp.yv(nu, x))
+    return _bessel(_sp.yv, nu, x, "bessel_y", True)
 
 
 def bessel_i(nu: float, x: float) -> EvalResult:
@@ -194,47 +203,28 @@ def bessel_i(nu: float, x: float) -> EvalResult:
     Raises OverflowError once the unscaled value leaves binary64 range;
     :func:`bessel_i_scaled` stays finite for all x.
     """
-    nu = _check_order(nu, "bessel_i")
-    x = float(x)
-    if x < 0.0:
-        raise DomainError(f"bessel_i: requires x >= 0, got x={x!r}")
-    if x == 0.0 and nu < 0.0:
-        raise DomainError("bessel_i: x = 0 is only admissible for nu >= 0")
-    v = _sp.iv(nu, x)
-    if math.isinf(v):
+    r = _bessel(_sp.iv, nu, x, "bessel_i", False)
+    if math.isinf(r.value):
         raise OverflowError(
-            f"bessel_i({nu!r}, {x!r}) exceeds binary64 range; use bessel_i_scaled"
+            f"bessel_i({float(nu)!r}, {float(x)!r}) exceeds binary64 range; "
+            "use bessel_i_scaled"
         )
-    return closed_form(v)
+    return r
 
 
 def bessel_i_scaled(nu: float, x: float) -> EvalResult:
     """exp(-x) * I_nu(x), overflow-safe for large x."""
-    nu = _check_order(nu, "bessel_i_scaled")
-    x = float(x)
-    if x < 0.0:
-        raise DomainError(f"bessel_i_scaled: requires x >= 0, got x={x!r}")
-    if x == 0.0 and nu < 0.0:
-        raise DomainError("bessel_i_scaled: x = 0 is only admissible for nu >= 0")
-    return closed_form(_sp.ive(nu, x))
+    return _bessel(_sp.ive, nu, x, "bessel_i_scaled", False)
 
 
 def bessel_k(nu: float, x: float) -> EvalResult:
     """Modified Bessel function K_nu(x), x > 0."""
-    nu = _check_order(nu, "bessel_k")
-    x = float(x)
-    if x <= 0.0:
-        raise DomainError(f"bessel_k: requires x > 0, got x={x!r}")
-    return closed_form(_sp.kv(nu, x))
+    return _bessel(_sp.kv, nu, x, "bessel_k", True)
 
 
 def bessel_k_scaled(nu: float, x: float) -> EvalResult:
     """exp(x) * K_nu(x), underflow-safe for large x."""
-    nu = _check_order(nu, "bessel_k_scaled")
-    x = float(x)
-    if x <= 0.0:
-        raise DomainError(f"bessel_k_scaled: requires x > 0, got x={x!r}")
-    return closed_form(_sp.kve(nu, x))
+    return _bessel(_sp.kve, nu, x, "bessel_k_scaled", True)
 
 
 # ----------------------------------------------------------------------

@@ -174,7 +174,7 @@ def test_criterion_9_series_identity_suite():
 
 def test_criterion_10_verify_all():
     t0 = time.perf_counter()
-    rep = catalog.run_all(jobs=1)
+    rep = catalog.run_all()
     elapsed = time.perf_counter() - t0
     s = rep.summary
     inconclusive_ids = {e.identity for e in rep.entries if e.status == "inconclusive"}

@@ -163,13 +163,6 @@ def test_point_error_becomes_inconclusive():
     assert "point error" in bad.note
 
 
-def test_jobs_is_deprecated_and_ignored():
-    serial = catalog.verify_grid("I-3.22", jobs=1)
-    with pytest.warns(DeprecationWarning):
-        other = catalog.verify_grid("I-3.22", jobs=2)
-    assert other.entries == serial.entries
-
-
 def test_grid_rejects_nonpositive_abs_floor():
     with pytest.raises(ConstraintError, match="abs_floor"):
         catalog.verify_grid("I-3.22", abs_floor=0.0)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -94,6 +95,24 @@ def test_gauss_product_requires_ordered_args():
         se.product_jj_gauss(0.0, 0.0, 1.0, 2.0, 1.0)
 
 
+def test_gauss_product_within_error_estimate_against_mpmath():
+    # seeded points over the range of the kernels benchmark workload, against
+    # mpmath at 40 digits on the exact products a*x and b*x
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for _ in range(300):
+            mu, nu, a = rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0), rng.uniform(0.5, 2.0)
+            b, x = a * rng.uniform(0.2, 1.0), rng.uniform(0.5, 10.0) / a
+            r = se.product_jj_gauss(mu, nu, a, b, x)
+            want = (mpmath.besselj(mu, mpmath.mpf(a) * x)
+                    * mpmath.besselj(nu, mpmath.mpf(b) * x))
+            assert r.converged
+            worst = max(worst, float(abs(r.value - want)) / r.abs_err_est)
+    assert worst <= 1.0
+
+
 # ----------------------------------------------------------------------
 # product_jj_neumann
 # ----------------------------------------------------------------------
@@ -159,6 +178,14 @@ def test_hyp0f1_product_grid():
                 lhs = se.hyp0f1_product(c, x, y).value
                 rhs = hyp0f1(c, x).value * hyp0f1(c, y).value
                 assert rel(lhs, rhs) < 1e-9
+
+
+def test_hyp0f1_product_flags_lost_digits():
+    # the inner 0F1(;c+2r;x+y) cancel past their last digit: -5.0e12 +- 2.4e15
+    # against a true 7.56, and -0.268 +- 30.2 against a true 1.6e-3
+    for c, x, y in ((0.3, -300.0, -300.0), (1.0, -400.0, -1.0)):
+        r = se.hyp0f1_product(c, x, y)
+        assert not r.converged and "hyp0f1_product" in r.note, (c, x, y)
 
 
 def test_hyp0f1_product_against_mpmath():

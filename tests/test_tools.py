@@ -1,0 +1,43 @@
+"""tools/compare_reports.py: moves are printed, structural changes fail."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+from besselint import catalog
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location(
+        "compare_reports", ROOT / "tools" / "compare_reports.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compare_reports(tmp_path, capsys):
+    tool = _load_tool()
+    report = catalog.verify_grid("I-3.22").to_dict()
+    old = tmp_path / "old.json"
+    new = tmp_path / "new.json"
+    old.write_text(json.dumps(report), encoding="utf-8")
+
+    def compare(changed: dict):
+        new.write_text(json.dumps(changed), encoding="utf-8")
+        code = tool.main([str(old), str(new)])
+        return code, capsys.readouterr().out
+
+    code, out = compare(report)
+    assert code == 0 and "0 value or error-estimate moves, 0 structural mismatches" in out
+    assert "quadrature:decaying" in out
+
+    moved = json.loads(json.dumps(report))
+    moved["entries"][0]["lhs"] *= 1.0 + 1e-14
+    code, out = compare(moved)
+    assert code == 0 and "1 value or error-estimate moves" in out and "relative" in out
+
+    moved["entries"][1]["lhs_nodes"] += 1
+    code, out = compare(moved)
+    assert code == 1 and "MISMATCH" in out and "lhs_nodes" in out
