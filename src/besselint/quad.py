@@ -2,11 +2,15 @@
 
 Three entry points, all returning :class:`~besselint.specfun.EvalResult`:
 
-* :func:`integrate_finite` -- adaptive Gauss-Kronrod (G7/K15) bisection
+* :func:`integrate_finite` -- adaptive Gauss-Kronrod (G7/K15) quadrature
   with declared-endpoint-singularity transforms, refined in rounds: each
-  round bisects the worst intervals until their errors cover the excess
-  over the target and evaluates all new halves in one integrand call per
-  piece (Shampine's vectorized adaptive quadrature);
+  round splits the worst intervals until their errors cover the excess
+  over the target and evaluates all new panels in one integrand call per
+  piece (Shampine's vectorized adaptive quadrature).  Interior intervals
+  are bisected; an interval at an end of its piece, once halved twice,
+  is graded geometrically toward that end, which finds an undeclared log
+  or power singularity there in a few rounds.  A run whose error stops
+  falling ends as stagnated;
 * :func:`integrate_semiinf_decaying` -- semi-infinite integrals whose
   integrand decays at least like exp(-rate*x): one head pass over
   [a, a + 30/rate], an analytic tail bound, and a finite extension only
@@ -14,7 +18,8 @@ Three entry points, all returning :class:`~besselint.specfun.EvalResult`:
 * :func:`integrate_semiinf_oscillatory` -- conditionally convergent
   oscillatory tails by partition-extrapolation: integrate cell by cell
   between kernel sign-change clusters and accelerate the partial sums
-  with Wynn's epsilon algorithm.
+  with Wynn's epsilon algorithm.  After the first cell, the first
+  refinement round of a block of cells takes one integrand call.
 
 Each engine takes the integrand and the interval start, then what it
 needs to know of the integrand's behaviour (the interval end, the decay
@@ -267,6 +272,32 @@ def _split_pieces(f: Integrand, a: float, b: float):
 # adaptive engine
 # ----------------------------------------------------------------------
 
+def _graded_split(lo: float, hi: float, toward_lo: bool, depth: int, most: int):
+    """The pieces ``depth`` rounds of halving [lo, hi] toward one end would make.
+
+    Returns their edges and their halvings from the initial width, or None
+    when fewer than two cuts fit.  The cuts are successive midpoints toward
+    lo (or hi), at most ``most`` of them, and none nearer that end than
+    1024 eps * max(|lo|, |hi|, 1), so that no Kronrod node rounds onto
+    the end itself.
+    """
+    end, cut = (lo, hi) if toward_lo else (hi, lo)
+    floor = 1024.0 * _EPS * max(abs(lo), abs(hi), 1.0)
+    cuts = []
+    for _ in range(min(depth, most)):
+        cut = 0.5 * (end + cut)
+        if abs(cut - end) < floor:
+            break
+        cuts.append(cut)
+    if len(cuts) < 2:
+        return None
+    # from the far end in: one halving more per piece, the end piece as deep as its neighbour
+    depths = [depth + j for j in range(1, len(cuts) + 1)] + [depth + len(cuts)]
+    if toward_lo:
+        return [lo, *reversed(cuts), hi], depths[::-1]
+    return [lo, *cuts, hi], depths
+
+
 def integrate_finite(f, a: float, b: float, tol: float, *,
                      abs_floor: float = 0.0,
                      max_evals: int = 1_000_000,
@@ -276,15 +307,25 @@ def integrate_finite(f, a: float, b: float, tol: float, *,
     Terminates when the summed interval error estimates drop below
     ``target = max(tol * |result|, abs_floor)``.  Each refinement round
     takes the worst intervals until their errors cover the excess over
-    the target (at least one interval), bisects them and evaluates every
-    new half with one call of f per piece.  Declared endpoint
-    singularities are removed by a power substitution before any
-    abscissa is generated.  The first non-finite integrand value, or a
-    result of the wrong shape, ends the run unconverged, with a partial
-    sum and an infinite error estimate.  At most ``max_evals`` nodes are
-    spent: each interval taken for bisection is charged its 30 nodes
-    first, the initial grid is thinned to fit, and a budget below one
-    panel per piece returns unconverged without evaluating f.
+    the target (at least one interval), splits them and evaluates every
+    new panel with one call of f per piece.  An interval is bisected,
+    except one that touches an end of its piece after k >= 2 halvings
+    from its initial width: it is cut at once into the k + 1 pieces that
+    k more rounds of halving toward that end would make (QUADPACK's
+    graded refinement toward a singular end, Piessens et al. 1983), so an
+    unhinted log or power singularity at an end costs about log2 of the
+    rounds plain bisection needs.  Declared endpoint singularities are
+    removed by a power substitution before any abscissa is generated.
+
+    The first non-finite integrand value, or a result of the wrong shape,
+    ends the run unconverged, with a partial sum and an infinite error
+    estimate.  A run that has spent more than 4n + 1000 nodes, n the count
+    when its summed error last halved, ends unconverged as stagnated: it
+    has reached the rounding floor of f (QUADPACK's round-off detection).
+    At most ``max_evals`` nodes are spent: every new panel is charged its
+    15 nodes before it is evaluated, the initial grid is thinned to fit,
+    and a budget below one panel per piece returns unconverged without
+    evaluating f.
     """
     a, b = float(a), float(b)
     if not (a < b):
@@ -294,21 +335,21 @@ def integrate_finite(f, a: float, b: float, tol: float, *,
     f = _as_integrand(f)
 
     pieces = _split_pieces(f, a, b)
-    heap: list = []  # (-err, lo, hi, val, err, piece index)
+    heap: list = []  # (-err, lo, hi, val, err, halvings, piece index)
     evals = 0
     frozen_val = 0.0  # intervals too narrow to split further
     frozen_err = 0.0
 
     def evaluate(batch: dict) -> str:
-        """Evaluate {piece index: ([lo...], [hi...])}, one call per piece."""
+        """Evaluate {piece index: ([lo...], [hi...], [halvings...])}, one call per piece."""
         nonlocal evals
-        for i, (los, his) in batch.items():
+        for i, (los, his, depths) in batch.items():
             vals, errs, note = _gk15(pieces[i][0], np.array(los), np.array(his))
             evals += 15 * len(los)
             if note:
                 return note
-            for lo, hi, val, err in zip(los, his, vals.tolist(), errs.tolist()):
-                heapq.heappush(heap, (-err, lo, hi, val, err, i))
+            for lo, hi, val, err, d in zip(los, his, vals.tolist(), errs.tolist(), depths):
+                heapq.heappush(heap, (-err, lo, hi, val, err, d, i))
         return ""
 
     n0 = min(max(1, int(initial_intervals)), max_evals // (15 * len(pieces)))
@@ -318,38 +359,50 @@ def integrate_finite(f, a: float, b: float, tol: float, *,
     for i, (_, lo, hi) in enumerate(pieces):
         edges = lo + np.arange(n0 + 1) * ((hi - lo) / n0)
         edges[-1] = hi
-        grid[i] = (edges[:-1].tolist(), edges[1:].tolist())
+        grid[i] = (edges[:-1].tolist(), edges[1:].tolist(), [0] * n0)
     note = evaluate(grid)
 
+    err_mark, nodes_mark = math.inf, 0  # error and nodes at its last halving
     while not note:
         total = math.fsum(item[3] for item in heap) + frozen_val
         err_total = math.fsum(item[4] for item in heap) + frozen_err
         target = max(tol * abs(total), abs_floor)
         if err_total <= target and not math.isinf(err_total):
             return EvalResult(total, err_total, True, evals)
-        room = (max_evals - evals) // 30
-        if room < 1 or not heap:
-            note = "integrate_finite: node budget exhausted" if room < 1 \
-                else "integrate_finite: no splittable intervals left"
+        if err_total <= 0.5 * err_mark:
+            err_mark, nodes_mark = err_total, evals
+        spare = max_evals - evals
+        if spare < 30 or not heap or evals > 4 * nodes_mark + 1000:
+            note = ("integrate_finite: node budget exhausted" if spare < 30
+                    else "integrate_finite: no splittable intervals left" if not heap
+                    else "integrate_finite: error stagnated")
             return EvalResult(total, err_total if math.isfinite(err_total) else abs(total),
                               False, evals, note=note)
         excess = err_total - target
         covered = 0.0
         taken = 0
         batch: dict = {}
-        while heap and taken < room and (taken == 0 or covered < excess):
-            _, lo, hi, val, err, i = heapq.heappop(heap)
+        while heap and spare >= 30 and (taken == 0 or covered < excess):
+            _, lo, hi, val, err, depth, i = heapq.heappop(heap)
             taken += 1
             covered += err
-            mid = 0.5 * (lo + hi)
-            if not (lo < mid < hi) or (hi - lo) < 16 * _EPS * max(abs(lo), abs(hi), 1.0):
-                # too narrow to subdivide; freeze its estimate
-                frozen_val += val
-                frozen_err += err if math.isfinite(err) else abs(val) + 1e-300
-                continue
-            los, his = batch.setdefault(i, ([], []))
-            los += (lo, mid)
-            his += (mid, hi)
+            _, plo, phi = pieces[i]
+            split = _graded_split(lo, hi, lo == plo, depth, spare // 15 - 1) \
+                if depth >= 2 and (lo == plo or hi == phi) else None
+            if split is None:
+                mid = 0.5 * (lo + hi)
+                if not (lo < mid < hi) or (hi - lo) < 16 * _EPS * max(abs(lo), abs(hi), 1.0):
+                    # too narrow to subdivide; freeze its estimate
+                    frozen_val += val
+                    frozen_err += err if math.isfinite(err) else abs(val) + 1e-300
+                    continue
+                split = [lo, mid, hi], [depth + 1] * 2
+            edges, depths = split
+            los, his, ds = batch.setdefault(i, ([], [], []))
+            los += edges[:-1]
+            his += edges[1:]
+            ds += depths
+            spare -= 15 * (len(edges) - 1)
         note = evaluate(batch)
 
     return EvalResult(math.fsum(item[3] for item in heap) + frozen_val, math.inf,
@@ -492,6 +545,49 @@ def epsilon_extrapolate(partial_sums: Sequence[float]) -> EvalResult:
 # cells, limits the accuracy of the sum.
 _CELL_TOL = 1e-13
 
+# Cells after the first whose first refinement round shares one integrand call.
+_BLOCK = 8
+
+
+def _first_rounds(f: Integrand, lo: float, hi: float, period: float, n: int,
+                  abs_floor: float) -> tuple[list, int]:
+    """integrate_finite's first round on the next n cells, in one call of f.
+
+    The cells run from [lo, hi] along the ``hi + period`` chain, each on
+    the two-interval grid ``integrate_finite(..., initial_intervals=2)``
+    lays on it.  Returns, per cell, the EvalResult that integrate_finite
+    would return after that round to ``_CELL_TOL``, or None where it would
+    refine further, where the cell holds a declared singularity, or for
+    every cell when f failed on the block (a non-finite value, a wrong
+    shape, or an ArithmeticError or ValueError such as a DomainError):
+    such a cell must be integrated on its own.
+    Also returns the nodes spent.
+    """
+    cells = []
+    for _ in range(n):
+        cells.append((lo, hi))
+        lo, hi = hi, hi + period
+    plain = [j for j, c in enumerate(cells) if _split_pieces(f, *c) == [(f.fn, *c)]]
+    out: list = [None] * n
+    if not plain:
+        return out, 0
+    los, his = np.array([cells[j] for j in plain]).T
+    mids = los + (his - los) / 2
+    try:
+        vals, errs, note = _gk15(f.fn, np.column_stack((los, mids)).ravel(),
+                                 np.column_stack((mids, his)).ravel())
+    except (ArithmeticError, ValueError):
+        # the block reaches past the cell the run may stop at: each cell
+        # integrated on its own then raises where it would unblocked
+        note = "raised"
+    if note:
+        return out, 30 * len(plain)
+    for j, v, e in zip(plain, vals.reshape(-1, 2).tolist(), errs.reshape(-1, 2).tolist()):
+        total, err = math.fsum(v), math.fsum(e)
+        if err <= max(_CELL_TOL * abs(total), abs_floor) and not math.isinf(err):
+            out[j] = EvalResult(total, err, True, 30)
+    return out, 30 * len(plain)
+
 
 def integrate_semiinf_oscillatory(f, a: float, osc: OscillationDescriptor,
                                   tol: float, *,
@@ -503,14 +599,22 @@ def integrate_semiinf_oscillatory(f, a: float, osc: OscillationDescriptor,
     Cells of one asymptotic period are integrated with the finite engine
     to ``_CELL_TOL``; the partial-sum sequence is extrapolated after each
     new cell and the run stops once two successive extrapolants agree
-    within tol*scale.  A converged run reports the error estimate of
-    QUADPACK's ``qelg`` (Piessens et al. 1983): the sum of the distances
+    within tol*scale.  After the first cell, the first refinement round
+    of the next ``_BLOCK`` cells is evaluated in one call of f (many
+    panels per call, Shampine 2008) and each cell is judged in order by
+    the finite engine's first-round test; a cell that misses it, holds a
+    declared singularity, or sits in a block on which f failed goes
+    through the finite engine on its own, as if unblocked.  A run may
+    therefore spend up to ``_BLOCK - 1`` cells past the one it stops at.
+    A converged run reports the error estimate of QUADPACK's ``qelg``
+    (Piessens et al. 1983): the sum of the distances
     from the returned extrapolant to the (up to) three before it, plus
     the cells' errors; the single distance the stopping rule tests can
-    understate the error several times over.  Each cell may spend what
-    the cells before it left of ``max_evals``.  The first cell that does
-    not converge ends the run unconverged, with the partial sum, an
-    infinite error estimate and that cell's note.
+    understate the error several times over.  A block is charged its
+    nodes before it is evaluated and is cut short to fit, and each cell
+    integrated on its own may spend what was left of ``max_evals``.  The
+    first cell that does not converge ends the run unconverged, with the
+    partial sum, an infinite error estimate and that cell's note.
     """
     if not isinstance(osc, OscillationDescriptor):
         raise DomainError(
@@ -535,12 +639,19 @@ def integrate_semiinf_oscillatory(f, a: float, osc: OscillationDescriptor,
     cell_floor = abs_floor
     lo = a
     hi = edge
+    ahead: list = []  # block results of the cells after this one
     for k in range(int(max_cells)):
-        r = integrate_finite(f, lo, hi, _CELL_TOL,
-                             abs_floor=cell_floor,
-                             max_evals=max_evals - evals,
-                             initial_intervals=2)
-        evals += r.terms_or_nodes_used
+        if k and not ahead:
+            n = min(_BLOCK, int(max_cells) - k, (max_evals - evals) // 30)
+            ahead, spent = _first_rounds(f, lo, hi, period, n, cell_floor)
+            evals += spent
+        r = ahead.pop(0) if ahead else None
+        if r is None:
+            r = integrate_finite(f, lo, hi, _CELL_TOL,
+                                 abs_floor=cell_floor,
+                                 max_evals=max_evals - evals,
+                                 initial_intervals=2)
+            evals += r.terms_or_nodes_used
         running += r.value
         if not r.converged:
             return EvalResult(running, math.inf, False, evals, note=r.note)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
+from besselint import quad
 from besselint.quad import (EndpointSingularity, Integrand,
                             OscillationDescriptor, epsilon_extrapolate,
                             integrate_finite, integrate_semiinf_decaying,
@@ -85,8 +86,10 @@ def test_interior_singularity_split():
 
 
 def test_budget_exhaustion_flagged():
+    # the zero integral makes the target unreachable; the budget ends the
+    # run before the stall rule does (see test_stalled_run_stops)
     r = integrate_finite(lambda x: np.sin(x), 0.0, 2.0 * math.pi, 1e-12,
-                         abs_floor=0.0, max_evals=4000)
+                         abs_floor=0.0, max_evals=1000)
     assert not r.converged
     assert "budget" in r.note
     # rounds that bisect several intervals at once still stop inside the budget
@@ -96,6 +99,29 @@ def test_budget_exhaustion_flagged():
         assert not r.converged
         assert "budget" in r.note
         assert r.terms_or_nodes_used <= max_evals
+
+
+def test_stalled_run_stops():
+    # int_0^2pi sin = 0 with no floor: the error settles at the rounding
+    # level of f and stops halving long before the budget runs out
+    r = integrate_finite(lambda x: np.sin(x), 0.0, 2.0 * math.pi, 1e-12,
+                         abs_floor=0.0, max_evals=1_000_000)
+    assert not r.converged
+    assert r.note == "integrate_finite: error stagnated"
+    assert abs(r.value) <= r.abs_err_est < 1e-14
+    assert r.terms_or_nodes_used <= 2000
+
+
+@pytest.mark.parametrize("fn", [np.log, lambda x: np.log(1.0 - x)], ids=["log x", "log(1-x)"])
+def test_unhinted_log_endpoint_is_graded(fn):
+    # no hint declared: the end intervals are cut geometrically toward the
+    # singular end rather than halved once per round; at the right end no
+    # node may round onto x = 1, where log(1 - x) is -inf
+    f, calls = counted(fn)
+    r = integrate_finite(f, 0.0, 1.0, 1e-12, initial_intervals=4)
+    assert r.converged
+    assert abs(r.value + 1.0) <= r.abs_err_est
+    assert calls[0] <= 10
 
 
 def test_one_integrand_call_per_refinement_round():
@@ -246,6 +272,56 @@ def test_unconverged_cell_ends_oscillatory_run():
     assert not r.converged
     assert "non-finite" in r.note
     assert math.isinf(r.abs_err_est)
+
+
+def test_oscillatory_cells_are_evaluated_in_blocks(monkeypatch):
+    # cells after the first share one integrand call per block of _BLOCK
+    block = quad._BLOCK
+    f, calls = counted(lambda x: np.sinc(x / np.pi))
+    osc = OscillationDescriptor(math.pi, math.pi)
+    r = integrate_semiinf_oscillatory(f, 0.0, osc, 1e-10)
+    blocked = calls[0]
+    f0, cell0 = counted(lambda x: np.sinc(x / np.pi))
+    integrate_finite(f0, 0.0, math.pi, quad._CELL_TOL, abs_floor=1e-15, initial_intervals=2)
+    monkeypatch.setattr(quad, "_BLOCK", 1)
+    calls[0] = 0
+    single = integrate_semiinf_oscillatory(f, 0.0, osc, 1e-10)
+    cells = calls[0] - cell0[0] + 1  # every cell after the first converges in one round
+    assert r.converged and single.converged
+    assert rel(r.value, single.value) < 1e-15
+    assert blocked <= math.ceil(cells / block) + cell0[0] < calls[0]
+
+
+def test_nonfinite_cell_inside_a_block_ends_run_as_unblocked(monkeypatch):
+    # NaN in the fourth cell, inside the first block: the run must end at
+    # that cell with the partial sum the one-cell-at-a-time run reaches
+    def f(x):
+        return np.where((x > 3.5 * np.pi) & (x < 3.6 * np.pi), np.nan, np.sinc(x / np.pi))
+
+    osc = OscillationDescriptor(math.pi, math.pi)
+    r = integrate_semiinf_oscillatory(f, 0.0, osc, 1e-8)
+    monkeypatch.setattr(quad, "_BLOCK", 1)
+    single = integrate_semiinf_oscillatory(f, 0.0, osc, 1e-8)
+    assert not r.converged and math.isinf(r.abs_err_est)
+    assert r.note == single.note == "integrate_finite: non-finite integrand value"
+    assert r.value == single.value
+    assert r.terms_or_nodes_used >= single.terms_or_nodes_used
+
+
+def test_block_past_the_last_cell_does_not_raise(monkeypatch):
+    # at tol 1e-8 the run stops at 13 pi, inside a block that reaches 17 pi;
+    # an integrand that raises past 13.5 pi must not end the run
+    def f(x):
+        if x.max() > 13.5 * np.pi:
+            raise DomainError("beyond the supported domain")
+        return np.sinc(x / np.pi)
+
+    osc = OscillationDescriptor(math.pi, math.pi)
+    r = integrate_semiinf_oscillatory(f, 0.0, osc, 1e-8)
+    monkeypatch.setattr(quad, "_BLOCK", 1)
+    single = integrate_semiinf_oscillatory(f, 0.0, osc, 1e-8)
+    assert r.converged and single.converged
+    assert rel(r.value, single.value) < 1e-15
 
 
 def test_first_cell_width_invariance():

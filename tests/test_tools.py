@@ -1,17 +1,19 @@
-"""tools/compare_reports.py: moves are printed, structural changes fail."""
+"""tools/: compare_reports prints moves and fails on structural changes;
+bench_pairs reports a run that printed no result."""
 
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 from besselint import catalog
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _load_tool():
-    spec = importlib.util.spec_from_file_location(
-        "compare_reports", ROOT / "tools" / "compare_reports.py")
+def _load_tool(name="compare_reports"):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -41,3 +43,19 @@ def test_compare_reports(tmp_path, capsys):
     moved["entries"][1]["lhs_nodes"] += 1
     code, out = compare(moved)
     assert code == 1 and "MISMATCH" in out and "lhs_nodes" in out
+
+
+def test_bench_pairs_reports_a_run_without_result(tmp_path):
+    # a run that exits 1 with only "#" lines on stdout (an exception escaped
+    # it) is reported with its command, exit code and stderr
+    tool = _load_tool("bench_pairs")
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "print('# workload quad-grid')\n"
+        "raise RuntimeError('escaped from the warm-up')\n", encoding="utf-8")
+    with pytest.raises(RuntimeError) as info:
+        tool.run_bench(tmp_path, "quad-grid", 11, 0.1, 0)
+    msg = str(info.value)
+    assert "perfbench/run.py --workload quad-grid" in msg
+    assert "exited 1 with no result line" in msg
+    assert "escaped from the warm-up" in msg

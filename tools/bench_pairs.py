@@ -78,10 +78,12 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode not in (0, 1) or not lines:
-        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n"
-                           f"{proc.stderr[-2000:]}")
-    res = json.loads(lines[-1])
+    last = lines[-1] if lines and proc.returncode in (0, 1) else ""
+    if not last.startswith("{"):
+        # no result line: an exception escaped the run (its traceback is on stderr)
+        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode} "
+                           f"with no result line:\n{proc.stderr[-2000:]}")
+    res = json.loads(last)
     res["failed_share"] = res["failed"] / max(res["attempted"], 1)
     return res
 
