@@ -16,7 +16,8 @@ import math
 import numpy as np
 from scipy import special as sp
 
-from ..specfun import (EvalResult, closed_form, kelvin_bei, kelvin_bei_vec, kelvin_ber,
+from ..specfun import (EvalResult, bessel_i_scaled_vec, bessel_i_vec, bessel_j_vec,
+                       bessel_k_scaled_vec, closed_form, kelvin_bei, kelvin_bei_vec, kelvin_ber,
                        kelvin_ber_vec, scaled)
 from ..quad import (OscillationDescriptor, integrate_semiinf_decaying,
                     integrate_semiinf_oscillatory)
@@ -41,8 +42,9 @@ def _ky_rhs(p, b: Budgets, tol: float, bei: bool, k0: bool) -> EvalResult:
     def fn(t):
         kel = (kelvin_bei_vec if bei else kelvin_ber_vec)(0.0, c * np.sqrt(t))
         if k0:
-            return sp.kve(0, t) * np.exp(-t) * kel * (np.sin if bei else np.cos)(y * t)
-        return np.exp(-t) * kel * sp.jv(0, y * t)
+            return (bessel_k_scaled_vec(0, t) * np.exp(-t) * kel
+                    * (np.sin if bei else np.cos)(y * t))
+        return np.exp(-t) * kel * bessel_j_vec(0, y * t)
 
     return integrate_semiinf_decaying(fn, 0.0, _KELVIN_RATE, tol, max_evals=b.max_evals)
 
@@ -163,7 +165,7 @@ def _i219_rhs_core(p, b: Budgets, tol: float, odd: bool, first_zero: float) -> E
 
     def fn(y):
         w = 1 + y * y
-        return (w ** -0.5 * sp.jv(0, 0.25 * a * a / w)
+        return (w ** -0.5 * bessel_j_vec(0, 0.25 * a * a / w)
                 * (np.sinh if odd else np.cosh)(0.25 * a * a * y / w)
                 * (np.sin if odd else np.cos)(t * y))
 
@@ -179,8 +181,8 @@ def _i221_rhs_core(p, b: Budgets, tol: float, odd: bool) -> EvalResult:
 
     def fn(y):
         w = 1 + y * y
-        return (y * w ** -0.5 * sp.iv(0, 0.25 * a * a * y / w)
-                * (np.sin if odd else np.cos)(0.25 * a * a / w) * sp.jv(0, t * y))
+        return (y * w ** -0.5 * bessel_i_vec(0, 0.25 * a * a * y / w)
+                * (np.sin if odd else np.cos)(0.25 * a * a / w) * bessel_j_vec(0, t * y))
 
     osc = OscillationDescriptor(math.pi / t, 2.405 / t)
     return integrate_semiinf_oscillatory(fn, 0.0, osc, tol, max_cells=b.max_cells,
@@ -293,7 +295,8 @@ def _k1_core(nu: float, p, kelvin, b: Budgets, tol: float) -> EvalResult:
     lam = 1.0 - sn
 
     def fn(x):
-        return sp.ive(nu, x * sn) * np.exp(-lam * x) * kelvin(2.0 * cn * np.sqrt(u * x))
+        return (bessel_i_scaled_vec(nu, x * sn) * np.exp(-lam * x)
+                * kelvin(2.0 * cn * np.sqrt(u * x)))
 
     return integrate_semiinf_decaying(fn, 0.0, lam, tol, max_evals=b.max_evals)
 

@@ -10,7 +10,8 @@ import numpy as np
 from scipy import special as sp
 
 from .. import series as se
-from ..specfun import (EvalResult, closed_form, gamma, hyp0f1, hyp0f3_vec, hyp2f1,
+from ..specfun import (EvalResult, bessel_i_scaled_vec, bessel_i_vec, bessel_j_vec,
+                       bessel_k_scaled_vec, closed_form, gamma, hyp0f1, hyp0f3_vec, hyp2f1,
                        scaled)
 from ..quad import (EndpointSingularity, Integrand, OscillationDescriptor,
                     integrate_finite, integrate_semiinf_decaying,
@@ -53,7 +54,8 @@ def _i24_rhs(p, b: Budgets, tol: float) -> EvalResult:
     def fn(t):
         return (t ** (mu + nu + 1)
                 * hyp0f3_vec(mu + 1, nu + 1, mu + nu + 1, -(z * t) ** 2, b.max_terms)
-                * sp.kve(mu, 2 * t) * sp.ive(nu, 2 * q * t) * np.exp(-lam * t))
+                * bessel_k_scaled_vec(mu, 2 * t) * bessel_i_scaled_vec(nu, 2 * q * t)
+                * np.exp(-lam * t))
 
     r = integrate_semiinf_decaying(fn, 0.0, lam, tol, max_evals=b.max_evals)
     pref = (4.0 * (0.5 * a * x) ** mu * (0.5 * bb * x) ** nu
@@ -102,7 +104,8 @@ def _i26_lhs(p, b: Budgets, tol: float) -> EvalResult:
     gpow = s + nu - mu
 
     def fn(t):
-        return t ** s * sp.kve(mu, 2 * t) * sp.ive(nu, 2 * q * t) * np.exp(-lam * t)
+        return (t ** s * bessel_k_scaled_vec(mu, 2 * t) * bessel_i_scaled_vec(nu, 2 * q * t)
+                * np.exp(-lam * t))
 
     hints = (EndpointSingularity(0.0, gpow),) if gpow < 0.0 else ()
     return integrate_semiinf_decaying(Integrand(fn, singularities=hints), 0.0, lam, tol,
@@ -156,7 +159,7 @@ def _i27_lhs(p, b: Budgets, tol: float) -> EvalResult:
     mu, nu, s, a, bb = p["mu"], p["nu"], p["s"], p["a"], p["b"]
 
     def fn(x):
-        return x ** (-s) * sp.jv(mu, a * x) * sp.jv(nu, bb * x)
+        return x ** (-s) * bessel_j_vec(mu, a * x) * bessel_j_vec(nu, bb * x)
 
     gpow = mu + nu - s
     hints = (EndpointSingularity(0.0, gpow),) if gpow < 0.0 else ()
@@ -217,7 +220,7 @@ def _i29_core(mu, nu, y, z, pref: float, b: Budgets, tol: float) -> EvalResult:
     # the right side of I-2.9 and of I-2.10, each with its own argument z(t)
     def fn(t):
         return (t ** (mu + nu + 1) * hyp0f3_vec(mu + 1, nu + 1, mu + nu + 1, z(t), b.max_terms)
-                * sp.kve(mu, t) * np.exp(-t) * sp.jv(nu, y * t))
+                * bessel_k_scaled_vec(mu, t) * np.exp(-t) * bessel_j_vec(nu, y * t))
 
     r = integrate_semiinf_decaying(fn, 0.0, 1.0, tol, max_evals=b.max_evals)
     return scaled(r, pref)
@@ -313,7 +316,8 @@ def _i211_rhs(p, b: Budgets, tol: float) -> EvalResult:
 
     def fn(y):
         w = 1 + y * y
-        return y / w * sp.jv(nu, t * y) * sp.jv(mu, 4 * a / w) * sp.iv(nu, 4 * a * y / w)
+        return (y / w * bessel_j_vec(nu, t * y) * bessel_j_vec(mu, 4 * a / w)
+                * bessel_i_vec(nu, 4 * a * y / w))
 
     osc = OscillationDescriptor(math.pi / t, _first_j_zero(nu, t))
     r = integrate_semiinf_oscillatory(fn, 0.0, osc, tol, max_cells=b.max_cells,
@@ -365,7 +369,7 @@ def _i212_rhs(p, b: Budgets, tol: float) -> EvalResult:
     mu, nu, t = p["mu"], p["nu"], p["t"]
 
     def fn(y):
-        return y ** (nu + 1) * (1 + y * y) ** (-(mu + nu + 1)) * sp.jv(nu, t * y)
+        return y ** (nu + 1) * (1 + y * y) ** (-(mu + nu + 1)) * bessel_j_vec(nu, t * y)
 
     osc = OscillationDescriptor(math.pi / t, _first_j_zero(nu, t))
     r = integrate_semiinf_oscillatory(fn, 0.0, osc, tol, max_cells=b.max_cells,
@@ -716,7 +720,7 @@ def _i239_lhs(p, b: Budgets, tol: float) -> EvalResult:
 
     def fn(t, q):
         s = np.sqrt(q)
-        return np.cos(u * c * t) * (sp.iv(1, u * s) + sp.jv(1, u * s)) / s
+        return np.cos(u * c * t) * (bessel_i_vec(1, u * s) + bessel_j_vec(1, u * s)) / s
 
     return integrate_finite(_on_unit_interval(fn, -0.5, (1.0,)), 0.0, 1.0,
                             tol, abs_floor=1e-16, max_evals=b.max_evals)

@@ -13,7 +13,8 @@ import numpy as np
 from scipy import special as sp
 
 from .. import series as se
-from ..specfun import EvalResult, closed_form, gamma, hyp0f3_vec
+from ..specfun import (EvalResult, bessel_i_scaled_vec, bessel_j_vec, bessel_k_scaled_vec,
+                       bessel_y_vec, closed_form, gamma, hyp0f3_vec)
 from ..quad import integrate_semiinf_decaying
 from ._records import _M, Budgets, Constraint, IdentityRecord, ParamSpace
 
@@ -29,7 +30,7 @@ def _laplace_j(scale: float, rate: float, factors: tuple, b: Budgets,
         sx = np.sqrt(x)
         out = scale * np.exp(-rate * x)
         for f in factors:
-            out = out * (sp.jv(f[0], f[1] * sx) if isinstance(f, tuple) else x ** f)
+            out = out * (bessel_j_vec(f[0], f[1] * sx) if isinstance(f, tuple) else x ** f)
         return out
 
     return integrate_semiinf_decaying(fn, 0.0, rate, tol, max_evals=b.max_evals)
@@ -308,8 +309,8 @@ def _i322_lhs(p, b: Budgets, tol: float) -> EvalResult:
     lam = 1.0 - a
 
     def fn(x):
-        return (x * sp.jv(1, a * x) * sp.ive(1, a * x) * sp.yv(0, x) * sp.kve(0, x)
-                * np.exp(-lam * x))
+        return (x * bessel_j_vec(1, a * x) * bessel_i_scaled_vec(1, a * x) * bessel_y_vec(0, x)
+                * bessel_k_scaled_vec(0, x) * np.exp(-lam * x))
 
     return integrate_semiinf_decaying(fn, 0.0, lam, tol, max_evals=b.max_evals)
 

@@ -567,7 +567,10 @@ def _first_rounds(f: Integrand, lo: float, hi: float, period: float, n: int,
     for _ in range(n):
         cells.append((lo, hi))
         lo, hi = hi, hi + period
-    plain = [j for j, c in enumerate(cells) if _split_pieces(f, *c) == [(f.fn, *c)]]
+    if f.singularities:
+        plain = [j for j, c in enumerate(cells) if _split_pieces(f, *c) == [(f.fn, *c)]]
+    else:
+        plain = list(range(n))
     out: list = [None] * n
     if not plain:
         return out, 0

@@ -8,7 +8,14 @@ calls them).
 The classical kernels (gamma, J, Y, I, K, 2F1) and the Kelvin functions
 of general order (J_nu along the ray arg z = 3*pi/4) are backed by
 ``scipy.special``; the six J/Y/I/K wrappers share one order and domain
-check (``_bessel``), as ber and bei do (``_kelvin_scalar``).  Only the
+check (``_bessel``), as ber and bei do (``_kelvin_scalar``).  The five
+node-array entries ``bessel_*_vec`` share one dispatcher (``_bessel_vec``):
+a scalar order 0, 1 or -1 takes scipy's order-specific Cephes routine
+(``j0``, ``j1``, ``y0``, ``y1``, ``i0``, ``i1``, ``i0e``, ``i1e``, ``k0e``,
+``k1e``; Moshier 1989), every other order the general AMOS routine (Amos,
+ACM TOMS 644).  Cephes is 7-23x cheaper per point; its J/Y phase error
+grows with x (at most 140 eps * sqrt(J^2 + Y^2) up to x = 1000, against 9
+for AMOS), its I and scaled I/K stay within 6 eps relative.  Only the
 0F1/0F3 series are summed here directly, one block of 16 terms per numpy
 pass over the whole argument array, with compensated summation of the
 block sums, a stopping rule checked on each block's last three terms (so
@@ -45,6 +52,11 @@ __all__ = [
     "bessel_i_scaled",
     "bessel_k",
     "bessel_k_scaled",
+    "bessel_j_vec",
+    "bessel_y_vec",
+    "bessel_i_vec",
+    "bessel_i_scaled_vec",
+    "bessel_k_scaled_vec",
     "kelvin_ber",
     "kelvin_bei",
     "kelvin_ber_vec",
@@ -225,6 +237,75 @@ def bessel_k(nu: float, x: float) -> EvalResult:
 def bessel_k_scaled(nu: float, x: float) -> EvalResult:
     """exp(x) * K_nu(x), underflow-safe for large x."""
     return _bessel(_sp.kve, nu, x, "bessel_k_scaled", True)
+
+
+# ----------------------------------------------------------------------
+# Bessel J, Y, I, K over node arrays (integrand use)
+# ----------------------------------------------------------------------
+
+def _by_order(c0, c1, reflect: bool) -> dict:
+    # the Cephes routine of each order 0, 1, -1; C_{-1} = -C_1 for J and Y
+    # (``reflect``), +C_1 for I and K
+    return {0: c0, 1: c1, -1: (lambda x: -c1(x)) if reflect else c1}
+
+
+_J_CEPHES = _by_order(_sp.j0, _sp.j1, True)
+_Y_CEPHES = _by_order(_sp.y0, _sp.y1, True)
+_I_CEPHES = _by_order(_sp.i0, _sp.i1, False)
+_IE_CEPHES = _by_order(_sp.i0e, _sp.i1e, False)
+_KE_CEPHES = _by_order(_sp.k0e, _sp.k1e, False)
+
+
+def _bessel_vec(amos, cephes: dict, nu, x):
+    """``amos(nu, x)``, or the Cephes routine when ``nu`` is a scalar 0, 1 or -1.
+
+    No order or domain check: the values, NaN and infinities are those of
+    the backing routine.
+    """
+    if isinstance(nu, (int, float, np.integer, np.floating)):
+        c = cephes.get(nu)
+        if c is not None:
+            return c(x)
+    return amos(nu, x)
+
+
+def bessel_j_vec(nu, x: np.ndarray) -> np.ndarray:
+    """J_nu over a real float64 array.
+
+    A scalar order 0 or +-1 takes Cephes ``j0``/``j1``; every other order,
+    and an array order, takes AMOS ``jv``.  Measured against mpmath, the
+    Cephes error in units of eps * sqrt(J^2 + Y^2) is at most 12 on
+    (0, 60], 36 up to 200, 140 up to 1000 and 930 at 3000 (its phase
+    drifts); AMOS ``jv`` at these orders stays within 9 over the whole range.
+    """
+    return _bessel_vec(_sp.jv, _J_CEPHES, nu, x)
+
+
+def bessel_y_vec(nu, x: np.ndarray) -> np.ndarray:
+    """Y_nu over a real float64 array: Cephes ``y0``/``y1`` at a scalar order
+    0 or +-1, else AMOS ``yv``; accuracy as :func:`bessel_j_vec`.  -inf at
+    x = 0 and NaN at x < 0, as ``yv``."""
+    return _bessel_vec(_sp.yv, _Y_CEPHES, nu, x)
+
+
+def bessel_i_vec(nu, x: np.ndarray) -> np.ndarray:
+    """I_nu over a real float64 array: Cephes ``i0``/``i1`` at a scalar order
+    0 or +-1 (within 6 eps relative), else AMOS ``iv``."""
+    return _bessel_vec(_sp.iv, _I_CEPHES, nu, x)
+
+
+def bessel_i_scaled_vec(nu, x: np.ndarray) -> np.ndarray:
+    """exp(-|x|) I_nu(x) over a real float64 array: Cephes ``i0e``/``i1e`` at a
+    scalar order 0 or +-1 (within 6 eps relative; 0 at x = +-inf, where
+    ``ive`` gives NaN), else AMOS ``ive``."""
+    return _bessel_vec(_sp.ive, _IE_CEPHES, nu, x)
+
+
+def bessel_k_scaled_vec(nu, x: np.ndarray) -> np.ndarray:
+    """exp(x) K_nu(x) over a real float64 array: Cephes ``k0e``/``k1e`` at a
+    scalar order 0 or +-1 (within 6 eps relative; 0 at x = inf, where
+    ``kve`` gives NaN), else AMOS ``kve``.  inf at x = 0, NaN at x < 0."""
+    return _bessel_vec(_sp.kve, _KE_CEPHES, nu, x)
 
 
 # ----------------------------------------------------------------------

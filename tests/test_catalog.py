@@ -135,6 +135,32 @@ def test_error_bars_cover_disagreement_in_run_all():
     assert {ident for ident, _ in over} <= {"I-2.7", "I-3.19"}, over
 
 
+def test_integrands_reach_amos_only_off_orders_0_and_1(monkeypatch):
+    # integrands take J, Y, I, K of a scalar order 0 or +-1 from the Cephes
+    # routines behind specfun's node-array entries; closed forms call AMOS
+    import numpy as np
+    from scipy import special
+
+    calls = []
+
+    def recorder(name):
+        amos = getattr(special, name)
+
+        def record(nu, x):
+            calls.append((name, nu, x))
+            return amos(nu, x)
+        return record
+
+    for name in ("jv", "yv", "iv", "ive", "kv", "kve"):
+        monkeypatch.setattr(special, name, recorder(name))
+    assert catalog.run_all().summary["fail"] == 0
+    routed = [(name, nu) for name, nu, x in calls
+              if isinstance(x, np.ndarray) and np.isrealobj(x)
+              and np.ndim(nu) == 0 and nu in (0, 1, -1)]
+    assert not routed, routed[:5]
+    assert any(name == "jv" and np.ndim(x) == 0 for name, _, x in calls)
+
+
 @pytest.mark.parametrize("identity", ["I-2.6", "I-2.7", "I-2.12"])
 def test_tight_tolerance_gives_no_false_fail(identity):
     # the engines are asked for a share of the verify tolerance, so a

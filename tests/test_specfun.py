@@ -139,6 +139,65 @@ def test_bessel_k_domain():
 
 
 # ----------------------------------------------------------------------
+# Node-array entries: Cephes at orders 0, +-1, AMOS elsewhere
+# ----------------------------------------------------------------------
+
+# x = 0, the first zeros of Y_0, J_0 and J_1, then points up to 1000
+_VEC_X = np.concatenate((
+    [0.0, 0.8935769662791675, 2.404825557695773, 3.8317059702075125],
+    np.geomspace(0.01, 60.0, 12), np.geomspace(61.0, 1000.0, 6)))
+_EPS = 2.0 ** -52
+
+
+@pytest.mark.parametrize("nu", [0, 1, -1])
+def test_bessel_vec_cephes_orders_against_mpmath(nu):
+    # the order as an int, a float and an np.float64; J and Y within
+    # 16 eps*M on (0, 60] and 160 eps*M on (60, 1000], M = sqrt(J^2 + Y^2),
+    # I and the scaled I and K within 8 eps relative
+    mpmath = pytest.importorskip("mpmath")
+    x = _VEC_X[1:]
+    with mpmath.workdps(30):
+        mx = [mpmath.mpf(float(v)) for v in x]
+        jw = np.array([float(mpmath.besselj(nu, v)) for v in mx])
+        yw = np.array([float(mpmath.bessely(nu, v)) for v in mx])
+        iew = np.array([float(mpmath.besseli(nu, v) * mpmath.exp(-v)) for v in mx])
+        kew = np.array([float(mpmath.besselk(nu, v) * mpmath.exp(v)) for v in mx])
+    jy_bound = np.where(x <= 60.0, 16.0, 160.0) * _EPS * np.hypot(jw, yw)
+    small = x < 700.0  # I_0 and I_1 overflow near x = 713
+    iw = iew[small] * np.exp(x[small])
+    for order in (nu, float(nu), np.float64(nu)):
+        assert np.all(np.abs(sf.bessel_j_vec(order, x) - jw) <= jy_bound)
+        assert np.all(np.abs(sf.bessel_y_vec(order, x) - yw) <= jy_bound)
+        assert np.all(np.abs(sf.bessel_i_scaled_vec(order, x) - iew) <= 8 * _EPS * iew)
+        assert np.all(np.abs(sf.bessel_k_scaled_vec(order, x) - kew) <= 8 * _EPS * kew)
+        assert np.all(np.abs(sf.bessel_i_vec(order, x[small]) - iw) <= 8 * _EPS * np.abs(iw))
+
+
+@pytest.mark.parametrize("entry, amos", [
+    (sf.bessel_j_vec, "jv"), (sf.bessel_y_vec, "yv"), (sf.bessel_i_vec, "iv"),
+    (sf.bessel_i_scaled_vec, "ive"), (sf.bessel_k_scaled_vec, "kve")])
+def test_bessel_vec_parity_with_amos(entry, amos):
+    from scipy import special
+
+    amos = getattr(special, amos)
+    x = np.concatenate((-_VEC_X[::-1], _VEC_X[1:], [np.nan]))
+    for order in (0, 1, -1, 0.0, 1.0, -1.0, np.float64(0.0), np.float64(1.0), np.float64(-1.0)):
+        got, want = entry(order, x), amos(order, x)
+        # non-finite exactly where AMOS is: Y and K at x = 0, NaN for Y and
+        # K at x < 0, NaN input
+        assert np.array_equal(np.isfinite(got), np.isfinite(want))
+        bad = ~np.isfinite(want)
+        assert np.array_equal(got[bad], want[bad], equal_nan=True)
+        # AMOS's sign, at x < 0 too (J and I), away from the zeros
+        away = np.isfinite(want) & (np.abs(want) > 1e-12)
+        assert np.array_equal(np.sign(got[away]), np.sign(want[away]))
+    # a non-integer order and an array order are AMOS itself
+    assert np.array_equal(entry(0.3, x), amos(0.3, x), equal_nan=True)
+    orders = np.array([0.0, 1.0, -1.0])[:, None]
+    assert np.array_equal(entry(orders, x), amos(orders, x), equal_nan=True)
+
+
+# ----------------------------------------------------------------------
 # Wronskians (derivatives by recurrence, not finite differences)
 # ----------------------------------------------------------------------
 

@@ -3,6 +3,7 @@ bench_pairs reports a run that printed no result."""
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,20 @@ def test_compare_reports(tmp_path, capsys):
     moved["entries"][0]["lhs"] *= 1.0 + 1e-14
     code, out = compare(moved)
     assert code == 0 and "1 value or error-estimate moves" in out and "relative" in out
+    # the move over the larger of the side's two error estimates, and the worst one
+    e = moved["entries"][0]
+    ratio = abs(e["lhs"] - report["entries"][0]["lhs"]) / e["lhs_err"]
+    assert f"{ratio:.3g} of its error bar)" in out
+    assert f"worst value move {ratio:.3g} of its error bar (#0 I-3.22" in out
+
+    moved["entries"][0]["lhs_err"] *= 100.0  # a larger bar on the new side counts
+    moved["entries"][2]["rhs"] += 10.0 * moved["entries"][2]["rhs_err"]
+    code, out = compare(moved)
+    assert code == 0 and "3 value or error-estimate moves" in out
+    assert f"{ratio / 100.0:.3g} of its error bar)" in out
+    worst = re.search(r"worst value move (\S+) of its error bar \((#\d+ I-3\.22) .* (\w+)\)$",
+                      out, re.M)
+    assert worst and abs(float(worst[1]) - 10.0) < 0.1 and worst.group(2, 3) == ("#2 I-3.22", "rhs")
 
     moved["entries"][1]["lhs_nodes"] += 1
     code, out = compare(moved)

@@ -11,9 +11,12 @@ The structure of the two reports must match: the same entries in the same
 order, with equal ids, params, statuses, converged flags, notes and node
 counts.  Every mismatch is printed and makes the exit status 1.  Values and
 error estimates (``lhs``, ``rhs``, ``lhs_err``, ``rhs_err``) may move; each
-move is printed with its relative size |new - old| / max(|old|, |new|).
-Last come the summaries and the node totals by route of both reports (the
-routes are read from the manifest in ``src/besselint``).
+move is printed with its relative size |new - old| / max(|old|, |new|), and
+a value move also with its size over the larger of that side's two error
+estimates (old and new); the summary line names the worst such ratio.
+Moves never change the exit status.  Last come the summaries and the node
+totals by route of both reports (the routes are read from the manifest in
+``src/besselint``).
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ def compare(parent: dict, change: dict) -> int:
         print(f"entry count: {len(old_entries)} -> {len(new_entries)}")
         mismatches += 1
     moves = 0
+    worst = (0.0, "")  # largest value move over its error bar, and where
     for i, (old, new) in enumerate(zip(old_entries, new_entries)):
         where = f"#{i} {old.get('id')} {json.dumps(old.get('params'), sort_keys=True)}"
         for key in STRUCTURE:
@@ -66,10 +70,19 @@ def compare(parent: dict, change: dict) -> int:
                 mismatches += 1
         for key in NUMBERS:
             if old[key] != new[key] and not (old[key] != old[key] and new[key] != new[key]):
-                print(f"move {where} {key}: {old[key]!r} -> {new[key]!r} "
-                      f"(relative {relative_move(old[key], new[key]):.2e})")
+                line = (f"move {where} {key}: {old[key]!r} -> {new[key]!r} "
+                        f"(relative {relative_move(old[key], new[key]):.2e}")
+                if key in ("lhs", "rhs"):
+                    bar = max(old[f"{key}_err"], new[f"{key}_err"])
+                    ratio = abs(new[key] - old[key]) / bar if bar > 0.0 else float("inf")
+                    line += f", {ratio:.3g} of its error bar"
+                    if ratio > worst[0]:
+                        worst = (ratio, f"{where} {key}")
+                print(line + ")")
                 moves += 1
-    print(f"{moves} value or error-estimate moves, {mismatches} structural mismatches")
+    print(f"{moves} value or error-estimate moves, {mismatches} structural mismatches; "
+          f"worst value move {worst[0]:.3g} of its error bar"
+          + (f" ({worst[1]})" if worst[1] else ""))
     for name, report in (("parent", parent), ("change", change)):
         s = report["summary"]
         totals = route_nodes(report["entries"])
