@@ -14,11 +14,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as sp
 
-from ..specfun import (EvalResult, bessel_i_scaled_vec, bessel_i_vec, bessel_j_vec,
-                       bessel_k_scaled_vec, closed_form, kelvin_bei, kelvin_bei_vec, kelvin_ber,
-                       kelvin_ber_vec, scaled)
+from ..specfun import (EvalResult, bessel_i, bessel_i_scaled_vec, bessel_i_vec, bessel_j,
+                       bessel_j_vec, bessel_k, bessel_k_scaled_vec, closed_form, kelvin_bei,
+                       kelvin_bei_vec, kelvin_ber, kelvin_ber_vec, product, scaled)
 from ..quad import (OscillationDescriptor, integrate_semiinf_decaying,
                     integrate_semiinf_oscillatory)
 from ._records import Budgets, Constraint, IdentityRecord, ParamSpace
@@ -51,8 +50,8 @@ def _ky_rhs(p, b: Budgets, tol: float, bei: bool, k0: bool) -> EvalResult:
 
 def _i215_lhs(p, b: Budgets, tol: float) -> EvalResult:
     a, y = p["a"], p["y"]
-    return closed_form(0.5 * math.pi / math.sqrt(1 + y * y) * sp.jv(0, 0.25 * a * a)
-                       * math.cosh(0.25 * a * a * y))
+    return scaled(bessel_j(0, 0.25 * a * a),
+                  0.5 * math.pi / math.sqrt(1 + y * y) * math.cosh(0.25 * a * a * y))
 
 
 def _i215_rhs(p, b: Budgets, tol: float) -> EvalResult:
@@ -61,8 +60,8 @@ def _i215_rhs(p, b: Budgets, tol: float) -> EvalResult:
 
 def _i216_lhs(p, b: Budgets, tol: float) -> EvalResult:
     a, y = p["a"], p["y"]
-    return closed_form(0.5 * math.pi / math.sqrt(1 + y * y) * sp.jv(0, 0.25 * a * a)
-                       * math.sinh(0.25 * a * a * y))
+    return scaled(bessel_j(0, 0.25 * a * a),
+                  0.5 * math.pi / math.sqrt(1 + y * y) * math.sinh(0.25 * a * a * y))
 
 
 def _i216_rhs(p, b: Budgets, tol: float) -> EvalResult:
@@ -71,7 +70,7 @@ def _i216_rhs(p, b: Budgets, tol: float) -> EvalResult:
 
 def _i217_lhs(p, b: Budgets, tol: float) -> EvalResult:
     a, y = p["a"], p["y"]
-    return closed_form(sp.iv(0, 0.25 * a * a * y) * math.cos(0.25 * a * a) / math.sqrt(1 + y * y))
+    return scaled(bessel_i(0, 0.25 * a * a * y), math.cos(0.25 * a * a) / math.sqrt(1 + y * y))
 
 
 def _i217_rhs(p, b: Budgets, tol: float) -> EvalResult:
@@ -80,7 +79,7 @@ def _i217_rhs(p, b: Budgets, tol: float) -> EvalResult:
 
 def _i218_lhs(p, b: Budgets, tol: float) -> EvalResult:
     a, y = p["a"], p["y"]
-    return closed_form(sp.iv(0, 0.25 * a * a * y) * math.sin(0.25 * a * a) / math.sqrt(1 + y * y))
+    return scaled(bessel_i(0, 0.25 * a * a * y), math.sin(0.25 * a * a) / math.sqrt(1 + y * y))
 
 
 def _i218_rhs(p, b: Budgets, tol: float) -> EvalResult:
@@ -152,10 +151,9 @@ I_2_18 = IdentityRecord(
 # I-2.19 .. I-2.22: inverse representations (oscillatory)
 # ----------------------------------------------------------------------
 
-def _kt_lhs(p, bei: bool, weight: float) -> EvalResult:
+def _kt_lhs(p, bei: bool, weight: EvalResult) -> EvalResult:
     # weight * ber|bei(a sqrt(t)): the left sides of I-2.19 .. I-2.22
-    kel = (kelvin_bei if bei else kelvin_ber)(0.0, p["a"] * math.sqrt(p["t"]))
-    return scaled(kel, weight, rel=5e-15)
+    return product(weight, (kelvin_bei if bei else kelvin_ber)(0.0, p["a"] * math.sqrt(p["t"])))
 
 
 def _i219_rhs_core(p, b: Budgets, tol: float, odd: bool, first_zero: float) -> EvalResult:
@@ -190,7 +188,7 @@ def _i221_rhs_core(p, b: Budgets, tol: float, odd: bool) -> EvalResult:
 
 
 def _i219_lhs(p, b: Budgets, tol: float) -> EvalResult:
-    return _kt_lhs(p, bei=False, weight=sp.kv(0, p["t"]))
+    return _kt_lhs(p, bei=False, weight=bessel_k(0, p["t"]))
 
 
 def _i219_rhs(p, b: Budgets, tol: float) -> EvalResult:
@@ -198,7 +196,7 @@ def _i219_rhs(p, b: Budgets, tol: float) -> EvalResult:
 
 
 def _i220_lhs(p, b: Budgets, tol: float) -> EvalResult:
-    return _kt_lhs(p, bei=True, weight=sp.kv(0, p["t"]))
+    return _kt_lhs(p, bei=True, weight=bessel_k(0, p["t"]))
 
 
 def _i220_rhs(p, b: Budgets, tol: float) -> EvalResult:
@@ -206,7 +204,7 @@ def _i220_rhs(p, b: Budgets, tol: float) -> EvalResult:
 
 
 def _i221_lhs(p, b: Budgets, tol: float) -> EvalResult:
-    return _kt_lhs(p, bei=False, weight=math.exp(-p["t"]) / p["t"])
+    return _kt_lhs(p, bei=False, weight=closed_form(math.exp(-p["t"]) / p["t"]))
 
 
 def _i221_rhs(p, b: Budgets, tol: float) -> EvalResult:
@@ -214,7 +212,7 @@ def _i221_rhs(p, b: Budgets, tol: float) -> EvalResult:
 
 
 def _i222_lhs(p, b: Budgets, tol: float) -> EvalResult:
-    return _kt_lhs(p, bei=True, weight=math.exp(-p["t"]) / p["t"])
+    return _kt_lhs(p, bei=True, weight=closed_form(math.exp(-p["t"]) / p["t"]))
 
 
 def _i222_rhs(p, b: Budgets, tol: float) -> EvalResult:
@@ -310,7 +308,7 @@ def _k1_lhs(p, b: Budgets, tol: float) -> EvalResult:
 
 def _k1_rhs(p, b: Budgets, tol: float) -> EvalResult:
     nu, th, u = p["nu"], p["theta"], p["u"]
-    return closed_form(math.sin(u) / math.cos(th) * sp.jv(nu, u * math.sin(th)))
+    return scaled(bessel_j(nu, u * math.sin(th)), math.sin(u) / math.cos(th))
 
 
 I_K1 = IdentityRecord(
@@ -365,7 +363,7 @@ def _k1a_lhs(p, b: Budgets, tol: float) -> EvalResult:
 
 def _k1a_rhs(p, b: Budgets, tol: float) -> EvalResult:
     n, th, u = int(p["n"]), p["theta"], p["u"]
-    return closed_form((-1.0) ** n * math.sin(u) / math.cos(th) * sp.jv(2 * n, u * math.sin(th)))
+    return scaled(bessel_j(2 * n, u * math.sin(th)), (-1.0) ** n * math.sin(u) / math.cos(th))
 
 
 I_K1A = IdentityRecord(
@@ -388,8 +386,8 @@ def _k1b_lhs(p, b: Budgets, tol: float) -> EvalResult:
 
 def _k1b_rhs(p, b: Budgets, tol: float) -> EvalResult:
     n, th, u = int(p["n"]), p["theta"], p["u"]
-    return closed_form((-1.0) ** n * math.sin(u) / math.cos(th)
-                       * sp.jv(2 * n + 1, u * math.sin(th)))
+    return scaled(bessel_j(2 * n + 1, u * math.sin(th)),
+                  (-1.0) ** n * math.sin(u) / math.cos(th))
 
 
 I_K1B = IdentityRecord(

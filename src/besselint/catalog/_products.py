@@ -7,12 +7,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as sp
 
 from .. import series as se
-from ..specfun import (EvalResult, bessel_i_scaled_vec, bessel_i_vec, bessel_j_vec,
-                       bessel_k_scaled_vec, closed_form, gamma, hyp0f1, hyp0f3_vec, hyp2f1,
-                       scaled)
+from ..specfun import (EvalResult, bessel_i, bessel_i_scaled_vec, bessel_i_vec, bessel_j,
+                       bessel_j_vec, bessel_k, bessel_k_scaled_vec, closed_form, gamma, hyp0f1,
+                       hyp0f3, hyp0f3_vec, hyp2f1, product, scaled)
 from ..quad import (EndpointSingularity, Integrand, OscillationDescriptor,
                     integrate_finite, integrate_semiinf_decaying,
                     integrate_semiinf_oscillatory)
@@ -41,8 +40,8 @@ def _first_j_zero(nu: float, t: float) -> float:
 
 def _i24_lhs(p, b: Budgets, tol: float) -> EvalResult:
     mu, nu, a, bb, x = p["mu"], p["nu"], p["a"], p["b"], p["x"]
-    return closed_form(gamma(nu + 1) * gamma(mu + 1) * gamma(mu + nu + 1)
-                       * sp.jv(mu, a * x) * sp.jv(nu, bb * x))
+    return scaled(product(bessel_j(mu, a * x), bessel_j(nu, bb * x)),
+                  gamma(nu + 1) * gamma(mu + 1) * gamma(mu + nu + 1))
 
 
 def _i24_rhs(p, b: Budgets, tol: float) -> EvalResult:
@@ -78,6 +77,8 @@ I_2_4 = IdentityRecord(
             Constraint("nu > -1", lambda p: p["nu"] > -1.0 + _M),
             Constraint("mu + nu > -1", lambda p: p["mu"] + p["nu"] > -1.0 + _M),
             Constraint("x >= 0", lambda p: p["x"] >= 0.0),
+            Constraint("mu, nu >= 0 when x = 0",
+                       lambda p: p["x"] > 0.0 or min(p["mu"], p["nu"]) >= 0.0),
         ),
         default_grid=(
             {"mu": 0.0, "nu": 0.0, "a": 1.0, "b": 0.5, "x": 1.0},
@@ -211,8 +212,8 @@ I_2_7 = IdentityRecord(
 
 def _i29_lhs(p, b: Budgets, tol: float) -> EvalResult:
     mu, nu, a, y = p["mu"], p["nu"], p["a"], p["y"]
-    return closed_form(gamma(mu + 1) * gamma(nu + 1) * gamma(mu + nu + 1)
-                       * sp.jv(mu, 0.25 * a * a) * sp.iv(nu, 0.25 * a * a * y))
+    return scaled(product(bessel_j(mu, 0.25 * a * a), bessel_i(nu, 0.25 * a * a * y)),
+                  gamma(mu + 1) * gamma(nu + 1) * gamma(mu + nu + 1))
 
 
 def _i29_core(mu, nu, y, z, pref: float, b: Budgets, tol: float) -> EvalResult:
@@ -264,8 +265,8 @@ I_2_9 = IdentityRecord(
 def _i210_lhs(p, b: Budgets, tol: float) -> EvalResult:
     mu, nu, a, y = p["mu"], p["nu"], p["a"], p["y"]
     w = 1 + y * y
-    return closed_form(gamma(mu + 1) * gamma(nu + 1) * gamma(mu + nu + 1)
-                       * sp.jv(mu, 4 * a / w) * sp.iv(nu, 4 * a * y / w))
+    return scaled(product(bessel_j(mu, 4 * a / w), bessel_i(nu, 4 * a * y / w)),
+                  gamma(mu + 1) * gamma(nu + 1) * gamma(mu + nu + 1))
 
 
 def _i210_rhs(p, b: Budgets, tol: float) -> EvalResult:
@@ -307,8 +308,8 @@ I_2_10 = IdentityRecord(
 
 def _i211_lhs(p, b: Budgets, tol: float) -> EvalResult:
     mu, nu, a, t = p["mu"], p["nu"], p["a"], p["t"]
-    f = hyp0f3_vec(mu + 1, nu + 1, mu + nu + 1, np.array([-(a * t) ** 2]), b.max_terms)
-    return closed_form((a * t) ** (mu + nu) * float(f[0]) * sp.kv(mu, t), rel=1e-13)
+    f = hyp0f3(mu + 1, nu + 1, mu + nu + 1, -(a * t) ** 2, b.max_terms)
+    return scaled(product(f, bessel_k(mu, t)), (a * t) ** (mu + nu))
 
 
 def _i211_rhs(p, b: Budgets, tol: float) -> EvalResult:
@@ -362,7 +363,7 @@ I_2_11 = IdentityRecord(
 
 def _i212_lhs(p, b: Budgets, tol: float) -> EvalResult:
     mu, nu, t = p["mu"], p["nu"], p["t"]
-    return closed_form((0.5 * t) ** (mu + nu) * sp.kv(mu, t))
+    return scaled(bessel_k(mu, t), (0.5 * t) ** (mu + nu))
 
 
 def _i212_rhs(p, b: Budgets, tol: float) -> EvalResult:
@@ -456,7 +457,7 @@ I_2_24 = IdentityRecord(
 
 def _i225_lhs(p, b: Budgets, tol: float) -> EvalResult:
     nu, a, bb, x = p["nu"], p["a"], p["b"], p["x"]
-    return closed_form(math.sin(a * x) * sp.jv(nu, bb * x))
+    return scaled(bessel_j(nu, bb * x), math.sin(a * x))
 
 
 def _i225_core(nu, a, bb, x, b: Budgets, tol: float) -> EvalResult:
@@ -489,6 +490,7 @@ I_2_25 = IdentityRecord(
                        lambda p: abs(p["b"]) > 0.0 and abs(p["b"]) <= abs(p["a"]) * (1.0 - _M)),
             Constraint("nu > -1/2", lambda p: p["nu"] > -0.5 + _M),
             Constraint("x >= 0", lambda p: p["x"] >= 0.0),
+            Constraint("nu >= 0 when x = 0", lambda p: p["x"] > 0.0 or p["nu"] >= 0.0),
         ),
         default_grid=(
             {"nu": 0.0, "a": 2.0, "b": 1.0, "x": 0.7},
@@ -505,8 +507,7 @@ I_2_25 = IdentityRecord(
 
 
 def _i226_lhs(p, b: Budgets, tol: float) -> EvalResult:
-    nu, y = p["nu"], p["y"]
-    return closed_form(sp.jv(nu, 0.5 * math.pi * y))
+    return bessel_j(p["nu"], 0.5 * math.pi * p["y"])
 
 
 def _i226_rhs(p, b: Budgets, tol: float) -> EvalResult:
@@ -549,9 +550,10 @@ def _i230_lhs(p, b: Budgets, tol: float) -> EvalResult:
                                  max_terms=min(500, b.max_terms))
 
 
-def _i230_rhs(p, b: Budgets, tol: float) -> EvalResult:
+def _jj_closed(p, b: Budgets, tol: float) -> EvalResult:
+    # J_nu(ax) J_nu(bx): the right side of I-2.30 and the left side of I-2.37
     nu, a, bb, x = p["nu"], p["a"], p["b"], p["x"]
-    return closed_form(sp.jv(nu, a * x) * sp.jv(nu, bb * x))
+    return product(bessel_j(nu, a * x), bessel_j(nu, bb * x))
 
 
 I_2_30 = IdentityRecord(
@@ -575,7 +577,7 @@ I_2_30 = IdentityRecord(
         ),
         hard_points=({"nu": 0.0, "a": 1.0, "b": 0.5, "x": 8.0},),
     ),
-    lhs=_i230_lhs, rhs=_i230_rhs,
+    lhs=_i230_lhs, rhs=_jj_closed,
     lhs_route="series", rhs_route="closed-form",
     difficulty="easy",
 )
@@ -586,13 +588,8 @@ def _i235_lhs(p, b: Budgets, tol: float) -> EvalResult:
 
 
 def _i235_rhs(p, b: Budgets, tol: float) -> EvalResult:
-    c, x, y = p["c"], p["x"], p["y"]
-    rx = hyp0f1(c, x, b.max_terms)
-    ry = hyp0f1(c, y, b.max_terms)
-    v = rx.value * ry.value
-    err = abs(rx.value) * ry.abs_err_est + abs(ry.value) * rx.abs_err_est
-    return EvalResult(v, err + 1e-305, rx.converged and ry.converged,
-                      rx.terms_or_nodes_used + ry.terms_or_nodes_used)
+    c = p["c"]
+    return product(hyp0f1(c, p["x"], b.max_terms), hyp0f1(c, p["y"], b.max_terms))
 
 
 I_2_35 = IdentityRecord(
@@ -623,11 +620,6 @@ I_2_35 = IdentityRecord(
 # ----------------------------------------------------------------------
 # I-2.37 / I-2.38 / I-2.39  cos-kernel finite representations
 # ----------------------------------------------------------------------
-
-def _i237_lhs(p, b: Budgets, tol: float) -> EvalResult:
-    nu, a, bb, x = p["nu"], p["a"], p["b"], p["x"]
-    return closed_form(sp.jv(nu, a * x) * sp.jv(nu, bb * x))
-
 
 def _i237_core(nu, c, w, budgets: Budgets, tol: float) -> EvalResult:
     # int_0^1 (1-t^2)^(nu-1/2) cos(c t) 0F3(nu+1, nu/2+1/4, nu/2+3/4; w (1-t^2)^2) dt
@@ -660,6 +652,7 @@ I_2_37 = IdentityRecord(
             Constraint("nu > -1/2", lambda p: p["nu"] > -0.5 + _M),
             Constraint("0 < b <= 0.9 a", lambda p: 0.0 < p["b"] <= 0.9 * p["a"]),
             Constraint("x >= 0", lambda p: p["x"] >= 0.0),
+            Constraint("nu >= 0 when x = 0", lambda p: p["x"] > 0.0 or p["nu"] >= 0.0),
         ),
         default_grid=(
             {"nu": 0.0, "a": 1.0, "b": 0.5, "x": 1.0},
@@ -669,7 +662,7 @@ I_2_37 = IdentityRecord(
         ),
         hard_points=({"nu": -0.25, "a": 1.0, "b": 0.8, "x": 2.0},),
     ),
-    lhs=_i237_lhs, rhs=_i237_rhs,
+    lhs=_jj_closed, rhs=_i237_rhs,
     lhs_route="closed-form", rhs_route="quadrature:finite",
     difficulty="easy",
 )
@@ -679,7 +672,7 @@ def _i238_lhs(p, b: Budgets, tol: float) -> EvalResult:
     nu, u = p["nu"], p["u"]
     ap = 0.5 * (math.sqrt(u * u + 2) + math.sqrt(u * u - 2))
     am = 0.5 * (math.sqrt(u * u + 2) - math.sqrt(u * u - 2))
-    return closed_form(sp.jv(nu, ap) * sp.jv(nu, am))
+    return product(bessel_j(nu, ap), bessel_j(nu, am))
 
 
 def _i238_rhs(p, b: Budgets, tol: float) -> EvalResult:

@@ -10,11 +10,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as sp
 
 from .. import series as se
-from ..specfun import (EvalResult, bessel_i_scaled_vec, bessel_j_vec, bessel_k_scaled_vec,
-                       bessel_y_vec, closed_form, gamma, hyp0f3_vec)
+from ..specfun import (EvalResult, bessel_i_scaled, bessel_i_scaled_vec, bessel_j, bessel_j_vec,
+                       bessel_k_scaled_vec, bessel_y_vec, closed_form, gamma, hyp0f3_vec, scaled)
 from ..quad import integrate_semiinf_decaying
 from ._records import _M, Budgets, Constraint, IdentityRecord, ParamSpace
 
@@ -90,8 +89,9 @@ def _i232_lhs(p, b: Budgets, tol: float) -> EvalResult:
 
 def _i232_rhs(p, b: Budgets, tol: float) -> EvalResult:
     nu, a, bb, pp = p["nu"], p["a"], p["b"], p["p"]
-    return closed_form(0.5 / pp * math.exp(-(a * a + bb * bb) / (4 * pp))
-                       * sp.iv(nu, a * bb / (2 * pp)))
+    # e^(-(a^2+b^2)/4p) I_nu(ab/2p) = e^(-(a-b)^2/4p) [e^(-ab/2p) I_nu(ab/2p)]
+    return scaled(bessel_i_scaled(nu, a * bb / (2 * pp)),
+                  0.5 / pp * math.exp(-(a - bb) ** 2 / (4 * pp)))
 
 
 I_2_32 = IdentityRecord(
@@ -267,8 +267,8 @@ def _i321_lhs(p, b: Budgets, tol: float) -> EvalResult:
 
 def _i321_rhs(p, b: Budgets, tol: float) -> EvalResult:
     mu, nu, a, be = p["mu"], p["nu"], p["a"], p["beta"]
-    return closed_form((2 * a) ** (1 - mu) * gamma(mu) * gamma(2 * nu)
-                       * be ** (mu - 2 * nu - 1) * sp.jv(mu - 1, 4 * a / be))
+    return scaled(bessel_j(mu - 1, 4 * a / be),
+                  (2 * a) ** (1 - mu) * gamma(mu) * gamma(2 * nu) * be ** (mu - 2 * nu - 1))
 
 
 I_3_21 = IdentityRecord(

@@ -231,9 +231,11 @@ def _cmd_verify(args) -> int:
     if not args.abs_floor > 0.0:
         print("besselint: error: --abs-floor must be > 0", file=sys.stderr)
         return EXIT_BADFLAGS
-    if args.jobs < 1:
-        print("besselint: error: --jobs must be >= 1", file=sys.stderr)
-        return EXIT_BADFLAGS
+    for flag, value in (("--jobs", args.jobs), ("--max-terms", args.max_terms),
+                        ("--max-cells", args.max_cells)):
+        if value < 1:
+            print(f"besselint: error: {flag} must be >= 1", file=sys.stderr)
+            return EXIT_BADFLAGS
 
     if args.target == "all":
         if args.grid:

@@ -24,7 +24,8 @@ whose error estimate exceeds its value has no correct digit left and is
 reported unconverged.
 
 Every evaluation is pure and reentrant: no caches, no shared state.
-Scalar results are returned as :class:`EvalResult`; the ``*_vec``
+Scalar results are returned as :class:`EvalResult`, which closed-form code
+combines through :func:`scaled` and :func:`product`; the ``*_vec``
 helpers operate on float64 arrays and are meant for integrand code.
 """
 
@@ -41,6 +42,7 @@ __all__ = [
     "EvalResult",
     "closed_form",
     "scaled",
+    "product",
     "DomainError",
     "ORDER_MIN",
     "ORDER_MAX",
@@ -123,6 +125,14 @@ def scaled(r: EvalResult, pref: float, rel: float = 0.0) -> EvalResult:
                       r.converged, r.terms_or_nodes_used, r.note)
 
 
+def product(r: EvalResult, s: EvalResult) -> EvalResult:
+    """``r * s`` with error |r| err(s) + |s| err(r); work counts add, notes join."""
+    return EvalResult(r.value * s.value,
+                      abs(r.value) * s.abs_err_est + abs(s.value) * r.abs_err_est,
+                      r.converged and s.converged, r.terms_or_nodes_used + s.terms_or_nodes_used,
+                      "; ".join(n for n in (r.note, s.note) if n))
+
+
 def closed_form(value: float, rel: float = 5e-15) -> EvalResult:
     """A closed-form value with a relative error allowance; unconverged if non-finite."""
     v = float(value)
@@ -177,8 +187,18 @@ def log_gamma(x: float) -> float:
 # Bessel J, Y, I, K wrappers
 # ----------------------------------------------------------------------
 
-def _bessel(fn, nu: float, x: float, who: str, positive: bool) -> EvalResult:
-    """``fn(nu, x)`` as a closed form after the order and domain checks.
+# Relative allowance of the AMOS scaled I and of K/scaled K.  Against mpmath
+# on 300 x in [0.05, 60] at orders 0, 0.3, 1, 1.5, 2.7 and 5.25, ``ive`` is
+# off by up to 223 eps (order 0.3, x near 18), ``kv`` and ``kve`` by up to
+# 157 eps (order 0.3, x near 1.85); unscaled ``iv`` stays within 7.1 eps,
+# inside the default closed-form allowance of 5e-15 (about 22.5 eps).
+_AMOS_IK_REL = 256 * _EPS
+
+
+def _bessel(fn, nu: float, x: float, who: str, positive: bool,
+            rel: float = 5e-15) -> EvalResult:
+    """``fn(nu, x)`` as a closed form of relative allowance ``rel`` after the
+    order and domain checks.
 
     ``positive`` asks for x > 0 (Y, K); otherwise x >= 0, with x = 0 only
     for nu >= 0 (J, I).
@@ -192,7 +212,7 @@ def _bessel(fn, nu: float, x: float, who: str, positive: bool) -> EvalResult:
         raise DomainError(f"{who}: requires x >= 0, got x={x!r}")
     elif x == 0.0 and nu < 0.0:
         raise DomainError(f"{who}: x = 0 is only admissible for nu >= 0")
-    return closed_form(fn(nu, x))
+    return closed_form(fn(nu, x), rel)
 
 
 def bessel_j(nu: float, x: float) -> EvalResult:
@@ -226,17 +246,17 @@ def bessel_i(nu: float, x: float) -> EvalResult:
 
 def bessel_i_scaled(nu: float, x: float) -> EvalResult:
     """exp(-x) * I_nu(x), overflow-safe for large x."""
-    return _bessel(_sp.ive, nu, x, "bessel_i_scaled", False)
+    return _bessel(_sp.ive, nu, x, "bessel_i_scaled", False, _AMOS_IK_REL)
 
 
 def bessel_k(nu: float, x: float) -> EvalResult:
     """Modified Bessel function K_nu(x), x > 0."""
-    return _bessel(_sp.kv, nu, x, "bessel_k", True)
+    return _bessel(_sp.kv, nu, x, "bessel_k", True, _AMOS_IK_REL)
 
 
 def bessel_k_scaled(nu: float, x: float) -> EvalResult:
     """exp(x) * K_nu(x), underflow-safe for large x."""
-    return _bessel(_sp.kve, nu, x, "bessel_k_scaled", True)
+    return _bessel(_sp.kve, nu, x, "bessel_k_scaled", True, _AMOS_IK_REL)
 
 
 # ----------------------------------------------------------------------

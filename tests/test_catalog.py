@@ -88,6 +88,34 @@ def test_constraint_violation_names_predicate():
         catalog.evaluate_sides("I-3.22", {"a": 0.5, "bogus": 1.0})
 
 
+@pytest.mark.parametrize("identity, point", [
+    ("I-2.4", {"mu": -0.5, "nu": 0.0, "a": 1.0, "b": 0.5, "x": 0.0}),
+    ("I-2.25", {"nu": -0.25, "a": 2.0, "b": 1.0, "x": 0.0}),
+    ("I-2.37", {"nu": -0.25, "a": 1.0, "b": 0.5, "x": 0.0}),
+])
+def test_origin_with_negative_order_is_inadmissible(identity, point):
+    # J_nu(0) is infinite for nu < 0 and the prefactor takes 0 to a negative power
+    with pytest.raises(ConstraintError, match="when x = 0"):
+        catalog.verify(identity, point)
+
+
+def test_catalog_modules_do_not_import_scipy():
+    # closed forms take every Bessel value from specfun's scalar wrappers and
+    # integrands from its node-array entries, never from scipy directly
+    import ast
+    from pathlib import Path
+
+    for path in sorted(Path(catalog.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "scipy" for m in mods), (path.name, mods)
+
+
 # ----------------------------------------------------------------------
 # verify / verify_grid
 # ----------------------------------------------------------------------

@@ -104,6 +104,10 @@ def test_verify_bad_flags_exit3(capsys):
     assert code == 3
     code, _, err = run(capsys, ["verify", "I-2.32", "--jobs", "0"])
     assert code == 3
+    # a term or cell budget below 1 would leave every point inconclusive
+    for flag, value in (("--max-terms", "-5"), ("--max-terms", "0"), ("--max-cells", "0")):
+        code, out, err = run(capsys, ["verify", "I-2.7", flag, value])
+        assert code == 3 and out == "" and f"{flag} must be >= 1" in err
     code, _, err = run(capsys, ["verify", "I-2.32", "--abs-floor", "0"])
     assert code == 3 and "--abs-floor" in err
 

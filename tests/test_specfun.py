@@ -138,6 +138,21 @@ def test_bessel_k_domain():
         sf.bessel_k(0.0, 0.0)
 
 
+def test_bessel_ik_within_error_estimate_against_mpmath():
+    # AMOS ive is off by up to 223 eps relative at order 0.3, kv and kve by
+    # up to 157 eps; each wrapper's abs_err_est must cover its error
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(20):
+        for nu in (0, 0.3, 1, 1.5, 2.7, 5.25):
+            for x in np.linspace(0.05, 60.0, 40):
+                mx = mpmath.mpf(float(x))
+                i, k, e = mpmath.besseli(nu, mx), mpmath.besselk(nu, mx), mpmath.exp(mx)
+                for fn, want in ((sf.bessel_i, i), (sf.bessel_i_scaled, i / e),
+                                 (sf.bessel_k, k), (sf.bessel_k_scaled, k * e)):
+                    r = fn(nu, x)
+                    assert abs(r.value - float(want)) <= r.abs_err_est, (fn.__name__, nu, x)
+
+
 # ----------------------------------------------------------------------
 # Node-array entries: Cephes at orders 0, +-1, AMOS elsewhere
 # ----------------------------------------------------------------------
@@ -498,3 +513,16 @@ def test_closed_form_non_finite_is_unconverged():
     assert not r.converged and math.isinf(r.abs_err_est)
     r = sf.closed_form(2.0, rel=1e-10)
     assert r.converged and r.abs_err_est == pytest.approx(2e-10)
+
+
+def test_product_rule():
+    r = sf.EvalResult(2.0, 1e-3, True, 3, "r note")
+    s = sf.EvalResult(-5.0, 1e-2, True, 4)
+    p = sf.product(r, s)
+    assert p.value == -10.0
+    assert p.abs_err_est == pytest.approx(2.0 * 1e-2 + 5.0 * 1e-3)
+    assert p.converged and p.terms_or_nodes_used == 7 and p.note == "r note"
+    bad = sf.EvalResult(1.0, math.inf, False, 0, "s note")
+    q = sf.product(r, bad)
+    assert not q.converged and q.note == "r note; s note" and q.terms_or_nodes_used == 3
+    assert sf.product(bad, r).note == "s note; r note"
