@@ -48,8 +48,8 @@ print("bei(3)                      =", kelvin_bei(0.0, x).value)
 print("(9/4) 0F3(3/2,3/2,1; ...)   =", 0.25 * x * x * hyp0f3(1.5, 1.5, 1.0, z).value)
 
 # The error estimate tracks cancellation: a large negative argument burns
-# digits and the result owns up to it.  Terms are summed in blocks of 16,
-# so the term count is a multiple of 16.
+# digits and the result owns up to it.  The scalar sum stops after three
+# negligible terms in a row, so the term count is the terms actually summed.
 r = hyp0f3(0.5, 0.5, 1.0, -1e5)
 print(f"hyp0f3(..., -1e5): value={r.value:.6g}, abs_err_est={r.abs_err_est:.2g}, "
       f"terms={r.terms_or_nodes_used}")

@@ -48,11 +48,11 @@ def _weber_triple(alpha, b1, b2, b3):
 
 
 def _weber_triple_m(m, alpha, b1, b2, b3):
-    return series.weber_triple_m(series.TripleParams(alpha, b1, b2, b3, int(m)))
+    return series.weber_triple_m(series.TripleParams(alpha, b1, b2, b3, m))
 
 
 def _weber_j0jm(alpha, b1, b2, m):
-    return series.weber_j0jm_limit(alpha, b1, b2, int(m))
+    return series.weber_j0jm_limit(alpha, b1, b2, m)
 
 
 EVAL_FUNCTIONS = {

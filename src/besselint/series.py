@@ -8,12 +8,13 @@ generalization and the two-factor limit), and the Richardson-extrapolated
 numerical m-th derivative the generalization needs.
 
 Every infinite series here is a generator of its terms summed by
-:func:`_sum_series`, with the stopping rule and error formula of the
-0F1/0F3 kernels in :mod:`besselint.specfun`.  The Gauss-sum term m is
-the longdouble dot product of the two Bessel power series' coefficient
-runs over k + j = m (their Cauchy product).  The 0F1 product, like the
-scalar 0F1, comes back unconverged when an inner 0F1 did not converge or
-its error estimate exceeds its value.
+``specfun._sum_series``, the compensated loop that also sums the scalar
+0F1/0F3 kernels, with the stopping rule and error formula of the vector
+0F1/0F3.  The Gauss-sum term m is the longdouble dot product of the two
+Bessel power series' coefficient runs over k + j = m (their Cauchy
+product).  The 0F1 product, like the scalar 0F1, comes back unconverged
+when an inner 0F1 did not converge or its error estimate exceeds its
+value.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 from scipy import special as _sp
 
-from .specfun import DomainError, EvalResult, hyp0f1, log_gamma, scaled
+from .specfun import DomainError, EvalResult, _sum_series, hyp0f1, log_gamma, scaled
 
 __all__ = [
     "TripleParams",
@@ -42,34 +43,13 @@ __all__ = [
 _EPS = 2.0 ** -52
 
 
-def _sum_series(terms: Iterable[tuple], max_terms: int, who: str) -> EvalResult:
-    """Sum the ``(term, size)`` pairs of a series, at most ``max_terms`` of them.
-
-    ``size`` is |term| or a bound on it.  The sum is compensated (Kahan) and
-    stops after three sizes in a row at or below eps*max(|total|,
-    eps*sum|term|), the rule of ``specfun._hyp0fq_vec``.  The error is
-    |last term| + 4*eps*sum|term|, with the eps of the terms' dtype, so a
-    longdouble series reports its own roundoff.  ``max_terms`` is a hard
-    budget; a series that runs out of it comes back unconverged, with a note
-    naming ``who``.
-    """
-    total = comp = abs_sum = last = 0.0
-    run = n = 0
-    for term, size in itertools.islice(terms, max_terms):
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        last = abs(term)
-        abs_sum += last
-        n += 1
-        run = run + 1 if size <= _EPS * max(abs(total), _EPS * abs_sum, 1e-305) else 0
-        if run == 3:
-            break
-    eps = float(np.finfo(total).eps) if isinstance(total, np.floating) else _EPS
-    err = last + 4.0 * eps * abs_sum
-    return EvalResult(float(total), float(err), run == 3, n,
-                      note="" if run == 3 else f"{who}: ran past term budget")
+def _order_m(m, who: str) -> int:
+    """``m`` as an int; a non-integer or negative m is a DomainError, not truncated."""
+    if not (math.isfinite(m) and m == math.floor(m)):
+        raise DomainError(f"{who}: m must be an integer, got {m!r}")
+    if m < 0:
+        raise DomainError(f"{who}: m must be >= 0, got {m!r}")
+    return int(m)
 
 
 @dataclass(frozen=True)
@@ -89,8 +69,7 @@ class TripleParams:
             b = getattr(self, name)
             if not (b >= 0.0 and math.isfinite(b)):
                 raise DomainError(f"TripleParams: {name} must be finite >= 0, got {b!r}")
-        if self.m < 0:
-            raise DomainError(f"TripleParams: m must be >= 0, got {self.m!r}")
+        object.__setattr__(self, "m", _order_m(self.m, "TripleParams"))
 
 
 # ----------------------------------------------------------------------
@@ -127,7 +106,8 @@ def product_jj_gauss(mu: float, nu: float, a: float, b: float, x: float,
     ld = np.longdouble
     parts = (mu * math.log(0.5 * a * x), nu * math.log(0.5 * b * x),
              -log_gamma(mu + 1.0), -log_gamma(nu + 1.0))
-    pref = math.exp(math.fsum(parts))
+    # log_gamma drops the sign of Gamma, negative for orders in (-2, -1), (-4, -3), ...
+    pref = math.exp(math.fsum(parts)) * float(_sp.gammasgn(mu + 1.0) * _sp.gammasgn(nu + 1.0))
     qa = ld(0.25) * ld(a) * ld(a) * ld(x) * ld(x)  # (ax/2)^2
     qb = ld(0.25) * ld(b) * ld(b) * ld(x) * ld(x)  # (bx/2)^2
 
@@ -168,12 +148,12 @@ def product_jj_neumann(nu: float, a: float, b: float, x: float,
         raise DomainError(f"product_jj_neumann: nu={nu!r} hits a gamma pole")
 
     def terms():
-        # coeff_r = q^(nu+2r) / (r! Gamma(nu+r+1)) bounds the r-th term: |J| <= 1
-        coeff = math.exp(nu * math.log(q) - log_gamma(nu + 1.0))
+        # |coeff_r| = |q^(nu+2r) / (r! Gamma(nu+r+1))| bounds the r-th term: |J| <= 1
+        coeff = math.exp(nu * math.log(q) - log_gamma(nu + 1.0)) * float(_sp.gammasgn(nu + 1.0))
         for r in itertools.count():
             if r:
                 coeff *= q * q / (r * (nu + r))
-            yield coeff * float(_sp.jv(nu + 2 * r, x * c)), coeff
+            yield coeff * float(_sp.jv(nu + 2 * r, x * c)), abs(coeff)
 
     return _sum_series(terms(), max_terms, "product_jj_neumann")
 
@@ -317,8 +297,7 @@ def weber_j0jm_limit(alpha: float, beta1: float, beta2: float, m: int) -> EvalRe
     alpha, beta1, beta2 = float(alpha), float(beta1), float(beta2)
     if not (alpha > 0.0):
         raise DomainError(f"weber_j0jm_limit: alpha must be > 0, got {alpha!r}")
-    if m < 0:
-        raise DomainError(f"weber_j0jm_limit: m must be >= 0, got {m!r}")
+    m = _order_m(m, "weber_j0jm_limit")
     if beta1 < 0.0 or beta2 < 0.0:
         raise DomainError("weber_j0jm_limit: requires beta1, beta2 >= 0")
     if beta2 == 0.0:

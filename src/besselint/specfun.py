@@ -16,12 +16,16 @@ a scalar order 0, 1 or -1 takes scipy's order-specific Cephes routine
 ACM TOMS 644).  Cephes is 7-23x cheaper per point; its J/Y phase error
 grows with x (at most 140 eps * sqrt(J^2 + Y^2) up to x = 1000, against 9
 for AMOS), its I and scaled I/K stay within 6 eps relative.  Only the
-0F1/0F3 series are summed here directly, one block of 16 terms per numpy
-pass over the whole argument array, with compensated summation of the
-block sums, a stopping rule checked on each block's last three terms (so
-term counts are multiples of the block size) and cancellation tracking.  A scalar 0F1/0F3
-whose error estimate exceeds its value has no correct digit left and is
-reported unconverged.
+0F1/0F3 series are summed here directly.  A scalar 0F1/0F3 is a term
+recurrence on Python floats summed by :func:`_sum_series`, the one
+compensated loop of every scalar series (``besselint.series`` imports it):
+it stops after three negligible terms in a row and tracks cancellation in
+its error estimate.  A scalar 0F1/0F3 whose error estimate exceeds its
+value has no correct digit left and is reported unconverged.  The vector
+0F1/0F3 (``hyp0f1_vec``, ``hyp0f3_vec``) sum one block of 16 terms per
+numpy pass over the whole argument array, with compensated summation of
+the block sums and the same stopping rule checked on each block's last
+three terms, so their term counts are multiples of the block size.
 
 Every evaluation is pure and reentrant: no caches, no shared state.
 Scalar results are returned as :class:`EvalResult`, which closed-form code
@@ -32,8 +36,10 @@ helpers operate on float64 arrays and are meant for integrand code.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 from scipy import special as _sp
@@ -478,20 +484,69 @@ def hyp0f3_vec(b1: float, b2: float, b3: float, z: np.ndarray,
     return _hyp0fq_values((float(b1), float(b2), float(b3)), z, max_terms)
 
 
+def _sum_series(terms: Iterable[tuple], max_terms: int, who: str) -> EvalResult:
+    """Sum the ``(term, size)`` pairs of a series, at most ``max_terms`` of them.
+
+    ``size`` is |term| or a bound on it.  The sum is compensated (Kahan) and
+    stops after three sizes in a row at or below eps*max(|total|,
+    eps*sum|term|), the rule of :func:`_hyp0fq_vec`.  The error is
+    |last term| + 4*eps*sum|term|, with the eps of the terms' dtype, so a
+    longdouble series reports its own roundoff.  ``max_terms`` is a hard
+    budget; a series that runs out of it, or whose terms overflow (an
+    infinite error), comes back unconverged, with a note naming ``who``.
+    """
+    total = comp = abs_sum = last = 0.0
+    run = n = 0
+    eps, tiny = _EPS, _EPS * 1e-305  # locals: this loop is the hot path of every series
+    for term, size in itertools.islice(terms, max_terms):
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        last = abs(term)
+        abs_sum += last
+        n += 1
+        # size <= eps*max(|total|, eps*abs_sum, 1e-305), without a max() call
+        if size <= eps * abs(total) or size <= eps * (eps * abs_sum) or size <= tiny:
+            run += 1
+            if run == 3:
+                break
+        else:
+            run = 0
+    eps = float(np.finfo(total).eps) if isinstance(total, np.floating) else _EPS
+    err = float(last + 4.0 * eps * abs_sum)
+    if run < 3:
+        note = f"{who}: stopping rule not met in {max_terms} terms"
+    elif not math.isfinite(err):
+        note = f"{who}: terms overflowed"
+    else:
+        note = ""
+    return EvalResult(float(total), err, not note, n, note)
+
+
+def _hyp0fq_terms(bs: tuple[float, ...], z: float):
+    # t_0 = 1, t_{k+1} = t_k * z / ((k+1) prod(b+k)), the recurrence of
+    # _hyp0fq_vec with its denominator multiplied in the same order
+    term, k = 1.0, 0.0
+    while True:
+        yield term, abs(term)
+        denom = k + 1.0
+        for b in bs:
+            denom *= b + k
+        term *= z / denom
+        k += 1.0
+
+
 def _hyp0fq_scalar(bs, z: float, max_terms: int, who: str) -> EvalResult:
     _check_poles(bs, who)
     z = float(z)
     if z < -1e6:
         raise DomainError(f"{who}: z={z!r} below the supported window z >= -1e6")
-    v, err, terms, done = _hyp0fq_vec(tuple(float(b) for b in bs), np.array([z]), max_terms)
-    v, err = float(v[0]), float(err[0])
-    if not done[0]:
-        note = f"{who}: stopping rule not met in {max_terms} terms"
-    elif err > abs(v):
-        note = f"{who}: cancellation left no correct digit (error estimate {err:.1e})"
-    else:
-        note = ""
-    return EvalResult(v, err, not note, terms, note)
+    r = _sum_series(_hyp0fq_terms(tuple(map(float, bs)), z), max_terms, who)
+    if r.converged and r.abs_err_est > abs(r.value):
+        note = f"{who}: cancellation left no correct digit (error estimate {r.abs_err_est:.1e})"
+        return EvalResult(r.value, r.abs_err_est, False, r.terms_or_nodes_used, note)
+    return r
 
 
 def hyp0f1(c: float, z: float, max_terms: int = 10000) -> EvalResult:

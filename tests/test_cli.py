@@ -77,6 +77,13 @@ def test_eval_errors(capsys):
     assert code == 3
     code, _, err = run(capsys, ["eval", "gamma", "nan-ish"])
     assert code == 3
+    # a non-integer m is a domain error, not truncated to an integer
+    for argv in (["weber_triple_m", "1.5", "1", "0.5", "0.6", "0.7"],
+                 ["weber_j0jm_limit", "1", "0.5", "0.6", "2.7"]):
+        code, out, err = run(capsys, ["eval", *argv])
+        assert code == 4 and "m must be an integer" in err and out == ""
+    code, _, _ = run(capsys, ["eval", "weber_triple_m", "2.0", "1", "0.5", "0.6", "0.7"])
+    assert code == 0
 
 
 # ----------------------------------------------------------------------

@@ -46,6 +46,13 @@ def test_sum_series_stops_after_third_small_size():
     assert r.converged and r.terms_or_nodes_used == 7 and seen == list(range(7))
 
 
+def test_sum_series_overflow_is_unconverged():
+    # infinite sizes pass the small-size test; the infinite error still flags the sum
+    r = se._sum_series(iter([(1.0, 1.0)] + [(math.inf, math.inf)] * 5), 100, "demo")
+    assert not r.converged and r.note == "demo: terms overflowed"
+    assert r.terms_or_nodes_used == 4 and math.isinf(r.abs_err_est)
+
+
 _BUDGET_CASES = {
     "product_jj_gauss": (0.0, 0.0, 2.0, 1.0, 5.0),
     "product_jj_neumann": (0.0, 1.0, 2.0, 5.0),
@@ -145,6 +152,22 @@ def test_neumann_gauss_direct_agree():
                 scale = max(abs(direct), 1e-12)
                 assert abs(neu - direct) / scale < 1e-8
                 assert abs(gau - direct) / scale < 1e-8
+
+
+@pytest.mark.parametrize("nu", [-1.5, -1.2, -3.5])
+def test_products_keep_the_sign_of_gamma_at_negative_orders(nu):
+    # Gamma(nu+1) < 0 for nu in (-2, -1) and (-4, -3): both series and the
+    # I-2.30 check at (a, b, x) = (1, 0.8, 2) against mpmath at 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    from besselint import catalog
+    with mpmath.workdps(30):
+        want = float(mpmath.besselj(nu, 2) * mpmath.besselj(nu, mpmath.mpf("1.6")))
+        gauss_want = float(mpmath.besselj(nu, 2) * mpmath.besselj(0.5, mpmath.mpf("1.6")))
+    neu = se.product_jj_neumann(nu, 1.0, 0.8, 2.0)
+    assert neu.converged and rel(neu.value, want) < 1e-12
+    assert rel(se.product_jj_gauss(nu, nu, 1.0, 0.8, 2.0).value, want) < 1e-12
+    assert rel(se.product_jj_gauss(nu, 0.5, 1.0, 0.8, 2.0).value, gauss_want) < 1e-12
+    assert catalog.verify("I-2.30", {"nu": nu, "a": 1, "b": 0.8, "x": 2}).status == "pass"
 
 
 # ----------------------------------------------------------------------
@@ -269,6 +292,20 @@ def test_weber_triple_m_domain():
         se.weber_triple_m(TripleParams(1.0, 1.0, 1.0, 1.0, 5))
     with pytest.raises(DomainError):
         TripleParams(-1.0, 1.0, 1.0, 1.0)
+
+
+def test_non_integer_m_is_rejected_not_truncated():
+    for m in (1.5, 0.2, -1, math.inf, math.nan):
+        with pytest.raises(DomainError, match="m must be"):
+            TripleParams(1.0, 0.5, 0.6, 0.7, m)
+    for m in (2.7, -1.0):
+        with pytest.raises(DomainError, match="m must be"):
+            se.weber_j0jm_limit(1.0, 0.5, 0.6, m)
+    # an integral float is the integer
+    assert TripleParams(1.0, 0.5, 0.6, 0.7, 2.0).m == 2
+    assert (se.weber_triple_m(TripleParams(1.0, 0.5, 0.6, 0.7, 2.0))
+            == se.weber_triple_m(TripleParams(1.0, 0.5, 0.6, 0.7, 2)))
+    assert se.weber_j0jm_limit(1.0, 0.5, 0.6, 2.0) == se.weber_j0jm_limit(1.0, 0.5, 0.6, 2)
 
 
 # ----------------------------------------------------------------------

@@ -420,6 +420,9 @@ def test_scalar_hyp0fq_unconverged_when_no_digit_correct():
                    (sf.hyp0f3(1.5, 2.0, 2.5, -1e6), "hyp0f3")):
         assert r.abs_err_est > abs(r.value)
         assert not r.converged and r.note.startswith(who)
+    # at z = -1e6 the 0F1 terms overflow: unconverged, not an infinite value
+    r = sf.hyp0f1(0.3, -1e6)
+    assert not r.converged and r.note == "hyp0f1: terms overflowed"
     # z = -25, the edge of the catalog's 0F1 window, keeps its digits
     r = sf.hyp0f1(0.3, -25.0)
     assert r.converged and r.abs_err_est < 1e-10 * abs(r.value)
@@ -437,6 +440,26 @@ def test_hyp0fq_repeatable_and_term_budget_hard():
         *_, terms, ok = sf._hyp0fq_vec((1.0, 1.0, 1.0), np.array([-1e5, 1e-6]), max_terms)
         assert terms == max_terms
         assert not ok[0] and ok[1] == (max_terms >= 3)
+
+
+def test_scalar_hyp0fq_takes_no_array_path(monkeypatch):
+    # the scalar kernels and the 0F1 product sum on Python floats
+    def no_arrays(*args):
+        raise AssertionError("scalar 0F1/0F3 called the vector summer")
+
+    want = (sf.hyp0f1(1.5, -20.0), sf.hyp0f3(1.5, 2.0, 2.5, -300.0))
+    monkeypatch.setattr(sf, "_hyp0fq_vec", no_arrays)
+    assert (sf.hyp0f1(1.5, -20.0), sf.hyp0f3(1.5, 2.0, 2.5, -300.0)) == want
+    assert all(r.converged for r in want)
+    from besselint import series
+    assert series.hyp0f1_product(1.5, 2.0, 3.0).converged
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 17])
+def test_scalar_hyp0fq_term_budget_hard(k):
+    r = sf.hyp0f3(1, 1, 1, -1e5, max_terms=k)
+    assert r.terms_or_nodes_used == k and not r.converged
+    assert r.note == f"hyp0f3: stopping rule not met in {k} terms"
 
 
 def test_hyp0f1_matches_bessel_series():

@@ -1,5 +1,5 @@
 """tools/: compare_reports prints moves and fails on structural changes;
-bench_pairs reports a run that printed no result."""
+bench_pairs reports a run that printed no result and records passes."""
 
 import importlib.util
 import json
@@ -74,3 +74,26 @@ def test_bench_pairs_reports_a_run_without_result(tmp_path):
     assert "perfbench/run.py --workload quad-grid" in msg
     assert "exited 1 with no result line" in msg
     assert "escaped from the warm-up" in msg
+
+
+def test_bench_pairs_records_passes(tmp_path):
+    # the N of an untraced run's "# N passes; ..." line goes into each run and
+    # into the workload block, next to the metrics; a traced run leaves it empty
+    tool = _load_tool("bench_pairs")
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, sys\n"
+        "traced = sys.argv[sys.argv.index('--trace') + 1] == '1'\n"
+        "print('# workload kernels')\n"
+        "print('# 2 traced and 2 untraced passes; layer shares' if traced else\n"
+        "      '# 482 passes; failed_share 0.000000 (0/10 operations)')\n"
+        "print(json.dumps({'correct': True, 'attempted': 10, 'failed': 0, 'metrics': \n"
+        "      {'peak_rss_mb': {'value': 72.4, 'unit': 'MB'}}}))\n", encoding="utf-8")
+    res = tool.run_bench(tmp_path, "kernels", 11, 0.1, 0)
+    assert res["passes"] == 482 and res["failed_share"] == 0.0
+    assert tool.run_bench(tmp_path, "kernels", 11, 0.1, 1)["passes"] is None
+    spec = {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}
+    block = tool.end_to_end_block({"parent": [res], "change": [dict(res, passes=811)]},
+                                  [spec], 1)
+    assert block["passes"] == {"parent": [482], "change": [811]}
+    assert block["metrics"]["peak_rss_mb"]["change_runs"] == [72.4]

@@ -17,8 +17,9 @@ pairs of ``--trace 1`` runs of ``kernels`` record the layer probes.
 
 The result, ``BENCH_<pr>.json``, holds for every workload and seed the
 runs, medians, quartiles, wins and bound checks of the end-to-end metrics
-declared in ``BENCHMARK.json``; the claim, if one is named; the probes;
-and the net line change of ``src/besselint`` and ``tests``.  A claim is
+declared in ``BENCHMARK.json``, and the passes each run made; the claim,
+if one is named; the probes; and the net line change of ``src/besselint``
+and ``tests``.  A claim is
 met when the change wins at least 9 of the 10 pairs at seed 11, its median
 beats the parent's by more than the parent's interquartile range, and its
 failed share is no larger than the parent's.
@@ -31,6 +32,7 @@ import io
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -73,7 +75,11 @@ def export_commit(commit: str, dest: Path) -> str:
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run; its result line plus the failed share."""
+    """One perfbench run; its result line plus the failed share and the passes.
+
+    ``passes`` is the N of the ``# N passes; ...`` line of an untraced run,
+    None for a traced run, which prints its passes in another form.
+    """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
@@ -85,6 +91,8 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
                            f"with no result line:\n{proc.stderr[-2000:]}")
     res = json.loads(last)
     res["failed_share"] = res["failed"] / max(res["attempted"], 1)
+    passes = re.search(r"^# (\d+) passes;", proc.stdout, re.M)
+    res["passes"] = int(passes[1]) if passes else None
     return res
 
 
@@ -141,6 +149,9 @@ def end_to_end_block(runs: dict, specs: list[dict], pairs: int) -> dict:
         vals = {side: [r["metrics"][spec["name"]]["value"] for r in runs[side]]
                 for side in ("parent", "change")}
         out["metrics"][spec["name"]] = summarize(spec, vals["parent"], vals["change"])
+    # peak_rss_mb grows with the passes a run makes (the benchmark keeps each
+    # pass's latencies), so a faster side reads as using more memory
+    out["passes"] = {side: [r["passes"] for r in runs[side]] for side in ("parent", "change")}
     return out
 
 
