@@ -1,4 +1,4 @@
-# The three integration engines and the sequence accelerator.
+# The four integration engines and the sequence accelerator.
 #
 # Run:  python demos/02_quadrature_engines.py
 
@@ -9,7 +9,8 @@ from scipy import special as sp
 
 from besselint import (EndpointSingularity, Integrand, OscillationDescriptor,
                        epsilon_extrapolate, integrate_finite,
-                       integrate_semiinf_decaying, integrate_semiinf_oscillatory)
+                       integrate_semiinf_decaying, integrate_semiinf_oscillatory,
+                       integrate_semiinf_ray)
 
 print("== adaptive finite quadrature ==")
 r = integrate_finite(lambda x: x * x, 0.0, 1.0, 1e-12)
@@ -65,6 +66,29 @@ r = integrate_semiinf_oscillatory(
     OscillationDescriptor(math.pi, 2.405), 1e-9, max_evals=300)
 print(f"same, max_evals=300   : converged={r.converged}, {r.terms_or_nodes_used} evals"
       f" ({r.note})")
+
+print()
+print("== oscillatory tails up a vertical ray ==")
+# int_0^inf x^-1/2 J_0(x) J_0(0.99 x) dx.  The product beats at a - b = 0.01,
+# which the cells cannot extrapolate.  Past x0 = pi it is Re F(x) with
+# F(z) = z^-1/2 H1_0(z) J_0(0.99 z), which decays like exp(-0.01 Im z), so the
+# tail is the non-oscillating -int_0^inf Im F(x0 + iy) dy.  The scaled kernels
+# keep their exponentials written out; the head [0, x0] keeps its x^-1/2 hint.
+b, x0 = 0.99, math.pi
+
+
+def ray(z):
+    return (z ** -0.5 * sp.hankel1e(0, z) * sp.jve(0, b * z) * np.exp(1j * x0)
+            * np.exp(-(1 - b) * z.imag))
+
+
+head = Integrand(lambda x: x ** -0.5 * sp.j0(x) * sp.j0(b * x),
+                 singularities=(EndpointSingularity(0.0, -0.5),))
+r = integrate_semiinf_ray(head, 0.0, x0, ray, 1 - b, 1e-10)
+exact = (2 ** -0.5 * math.gamma(0.25) / math.gamma(0.75)
+         * float(sp.hyp2f1(0.25, 0.25, 1.0, b * b)))
+print(f"int x^-1/2 J0(x) J0(0.99x) = {r.value:.15g}  (2F1 form {exact:.15g}), "
+      f"{r.terms_or_nodes_used} evals")
 
 print()
 print("== Wynn's epsilon on raw partial sums ==")

@@ -9,12 +9,13 @@ import math
 import numpy as np
 
 from .. import series as se
-from ..specfun import (EvalResult, bessel_i, bessel_i_scaled_vec, bessel_i_vec, bessel_j,
-                       bessel_j_vec, bessel_k, bessel_k_scaled_vec, closed_form, gamma, hyp0f1,
-                       hyp0f3, hyp0f3_vec, hyp2f1, product, scaled)
+from ..specfun import (EvalResult, bessel_h1_scaled_vec, bessel_i, bessel_i_scaled_vec,
+                       bessel_i_vec, bessel_j, bessel_j_scaled_vec, bessel_j_vec, bessel_k,
+                       bessel_k_scaled_vec, closed_form, gamma, hyp0f1, hyp0f3, hyp0f3_vec,
+                       hyp2f1, product, scaled)
 from ..quad import (EndpointSingularity, Integrand, OscillationDescriptor,
                     integrate_finite, integrate_semiinf_decaying,
-                    integrate_semiinf_oscillatory)
+                    integrate_semiinf_oscillatory, integrate_semiinf_ray)
 from ._records import _M, Budgets, Constraint, IdentityRecord, ParamSpace
 
 
@@ -162,12 +163,20 @@ def _i27_lhs(p, b: Budgets, tol: float) -> EvalResult:
     def fn(x):
         return x ** (-s) * bessel_j_vec(mu, a * x) * bessel_j_vec(nu, bb * x)
 
+    # past x0, J_mu(ax) J_nu(bx) = Re[H1_mu(ax) J_nu(bx)], which decays like
+    # exp(-(a - b) Im z) up the ray x0 + iy; the scaled kernels carry their
+    # exponentials written out, so nothing overflows as b -> a
+    x0 = math.pi / a
+    phase = np.exp(1j * a * x0)
+
+    def fc(z):
+        return (z ** (-s) * bessel_h1_scaled_vec(mu, a * z) * bessel_j_scaled_vec(nu, bb * z)
+                * phase * np.exp(-(a - bb) * z.imag))
+
     gpow = mu + nu - s
     hints = (EndpointSingularity(0.0, gpow),) if gpow < 0.0 else ()
-    per = math.pi / (a + bb)
-    osc = OscillationDescriptor(per, max(per, 2.4 / max(a, bb)))
-    return integrate_semiinf_oscillatory(Integrand(fn, singularities=hints), 0.0, osc, tol,
-                                         max_cells=b.max_cells, max_evals=b.max_evals)
+    return integrate_semiinf_ray(Integrand(fn, singularities=hints), 0.0, x0, fc, a - bb, tol,
+                                 max_evals=b.max_evals)
 
 
 def _i27_rhs(p, b: Budgets, tol: float) -> EvalResult:
@@ -372,9 +381,19 @@ def _i212_rhs(p, b: Budgets, tol: float) -> EvalResult:
     def fn(y):
         return y ** (nu + 1) * (1 + y * y) ** (-(mu + nu + 1)) * bessel_j_vec(nu, t * y)
 
-    osc = OscillationDescriptor(math.pi / t, _first_j_zero(nu, t))
-    r = integrate_semiinf_oscillatory(fn, 0.0, osc, tol, max_cells=b.max_cells,
-                                      max_evals=b.max_evals)
+    # past x0 the tail runs up the ray x0 + iy as in I-2.7, with J_nu = Re H1_nu;
+    # the cut of (1 + z^2)^(-(mu+nu+1)) lies on the imaginary axis, off the ray
+    x0 = math.pi / t
+    phase = np.exp(1j * t * x0)
+
+    def fc(z):
+        return (z ** (nu + 1) * (1 + z * z) ** (-(mu + nu + 1))
+                * bessel_h1_scaled_vec(nu, t * z) * phase * np.exp(-t * z.imag))
+
+    # y^(nu+1) J_nu(ty) ~ y^(2nu+1) at 0
+    hints = (EndpointSingularity(0.0, 2 * nu + 1),) if nu < 0.0 else ()
+    r = integrate_semiinf_ray(Integrand(fn, singularities=hints), 0.0, x0, fc, t, tol,
+                              max_evals=b.max_evals)
     pref = gamma(mu + nu + 1)
     return scaled(r, pref)
 

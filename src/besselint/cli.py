@@ -104,8 +104,13 @@ def _build_parser() -> _Parser:
                     help="deprecated and ignored: points are verified serially")
     vp.add_argument("--strict", action="store_true",
                     help="treat inconclusive entries as failures")
-    vp.add_argument("--max-terms", type=int, default=10_000)
-    vp.add_argument("--max-cells", type=int, default=200)
+    vp.add_argument("--max-terms", type=int, default=10_000,
+                    help="term budget of each series, 0F1/0F3 inside integrands "
+                         "too; the series sides of I-3.8 and I-3.19 take at most "
+                         "300, of I-2.30 and I-2.35 at most 500 (default: %(default)s)")
+    vp.add_argument("--max-cells", type=int, default=200,
+                    help="epsilon-table cells of the oscillatory tails of I-2.11 "
+                         "and I-2.19 .. I-2.22 (default: %(default)s)")
 
     ep = sub.add_parser("eval", help="evaluate one kernel or series function")
     ep.add_argument("function", help="e.g. bessel_k, hyp0f3, weber_triple")

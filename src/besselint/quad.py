@@ -1,6 +1,6 @@
 """Numerical integration engines.
 
-Three entry points, all returning :class:`~besselint.specfun.EvalResult`:
+Four entry points, all returning :class:`~besselint.specfun.EvalResult`:
 
 * :func:`integrate_finite` -- adaptive Gauss-Kronrod (G7/K15) quadrature
   with declared-endpoint-singularity transforms, refined in rounds: each
@@ -19,11 +19,17 @@ Three entry points, all returning :class:`~besselint.specfun.EvalResult`:
   oscillatory tails by partition-extrapolation: integrate cell by cell
   between kernel sign-change clusters and accelerate the partial sums
   with Wynn's epsilon algorithm.  After the first cell, the first
-  refinement round of a block of cells takes one integrand call.
+  refinement round of a block of cells takes one integrand call;
+* :func:`integrate_semiinf_ray` -- oscillatory integrals over [a, oo)
+  whose continuation into the upper half-plane decays: the finite engine
+  on the head [a, x0], then the tail up the vertical ray x0 + iy, where
+  it neither oscillates nor decays slower than exp(-rate*y), by the
+  decaying engine.
 
 Each engine takes the integrand and the interval start, then what it
 needs to know of the integrand's behaviour (the interval end, the decay
-rate, or an :class:`OscillationDescriptor`), then the relative tolerance,
+rate, an :class:`OscillationDescriptor`, or the ray's foot, the
+continuation and its decay rate), then the relative tolerance,
 and spends at most ``max_evals`` integrand nodes.  Integrands are
 vectorized callables ``f(x: float64 array) -> array`` that return one
 value per node, in the shape of ``x``; wrap one in :class:`Integrand` to
@@ -31,7 +37,8 @@ declare endpoint singularities.
 Singularity handling is hint-driven (never auto-detected): a declared
 endpoint behaviour ``|x - e|**gamma`` is divided out pointwise and the
 exact power restored under a ``u = e -+ s**p`` substitution, which keeps
-the factor accurate even when ``u`` rounds onto the endpoint.
+the factor accurate even when ``u`` rounds onto the endpoint or comes
+nearer to it than f can be evaluated.
 """
 
 from __future__ import annotations
@@ -52,6 +59,7 @@ __all__ = [
     "integrate_finite",
     "integrate_semiinf_decaying",
     "integrate_semiinf_oscillatory",
+    "integrate_semiinf_ray",
     "epsilon_extrapolate",
 ]
 
@@ -224,7 +232,10 @@ def _regularized_piece(f: Callable, lo: float, hi: float,
         h = s ** p
         u = e + sign * h
         h_repr = np.abs(u - e)
-        u_safe = np.where(h_repr > 0.0, u, e + sign * tiny)
+        # nearer e than tiny, take C at e -+ tiny: C has stopped changing at
+        # rounding level there, while f itself can overflow (a factor x**-s
+        # of an f ~ x**gamma at e = 0, once p is large)
+        u_safe = np.where(h_repr >= tiny, u, e + sign * tiny)
         # divide out the singular factor exactly as f saw it, then restore
         # it as an exact power of s
         h_seen = np.abs(u_safe - e)
@@ -473,6 +484,48 @@ def integrate_semiinf_decaying(f, a: float, rate: float, tol: float, *,
     return EvalResult(head.value + rest.value,
                       head.abs_err_est + rest.abs_err_est + tail_bound,
                       rest.converged, spent + rest.terms_or_nodes_used, note=rest.note)
+
+
+# ----------------------------------------------------------------------
+# semi-infinite oscillatory along a vertical ray
+# ----------------------------------------------------------------------
+
+def integrate_semiinf_ray(f, a: float, x0: float, fc: Callable[[np.ndarray], np.ndarray],
+                          rate: float, tol: float, *,
+                          max_evals: int = 1_000_000) -> EvalResult:
+    """Integrate an oscillatory f over [a, oo) as a real head plus a decaying ray.
+
+    ``fc`` is the continuation of f into the quarter-plane Re z >= x0,
+    Im z >= 0: an analytic F with Re F = f on [x0, oo) that decays like
+    exp(-rate * Im z), evaluated on the ray z = x0 + iy as a complex array
+    (it is only called there, so it may fold constants of the ray such as
+    exp(i a x0) into its scaled kernels).  By Cauchy's theorem the tail int_x0^oo f dx is then
+    -int_0^oo Im F(x0 + iy) dy, a non-oscillating, exponentially decaying
+    integral (the rotation of the contour used for Bessel-product
+    integrals, DLMF 10.17).
+
+    The head [a, x0] goes through :func:`integrate_finite`, so f's
+    :class:`EndpointSingularity` hints apply; the tail goes through
+    :func:`integrate_semiinf_decaying` at ``rate``.  Both are asked for
+    ``tol`` and share the one ``max_evals``; the tail gets what the head
+    left.  The value and the error estimate are the sums of the two parts';
+    the run is converged only when both parts are, and its note is the note
+    of the first part that is not.
+    """
+    a, x0 = float(a), float(x0)
+    if not (a < x0):
+        raise DomainError(f"integrate_semiinf_ray: requires a < x0, got a={a!r}, x0={x0!r}")
+
+    def tail_fn(y: np.ndarray) -> np.ndarray:
+        return -np.asarray(fc(x0 + 1j * y)).imag
+
+    head = integrate_finite(f, a, x0, tol, max_evals=max_evals)
+    tail = integrate_semiinf_decaying(tail_fn, 0.0, rate, tol,
+                                      max_evals=max_evals - head.terms_or_nodes_used)
+    return EvalResult(head.value + tail.value, head.abs_err_est + tail.abs_err_est,
+                      head.converged and tail.converged,
+                      head.terms_or_nodes_used + tail.terms_or_nodes_used,
+                      note=head.note or tail.note)
 
 
 # ----------------------------------------------------------------------

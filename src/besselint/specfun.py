@@ -15,7 +15,9 @@ a scalar order 0, 1 or -1 takes scipy's order-specific Cephes routine
 ``k1e``; Moshier 1989), every other order the general AMOS routine (Amos,
 ACM TOMS 644).  Cephes is 7-23x cheaper per point; its J/Y phase error
 grows with x (at most 140 eps * sqrt(J^2 + Y^2) up to x = 1000, against 9
-for AMOS), its I and scaled I/K stay within 6 eps relative.  Only the
+for AMOS), its I and scaled I/K stay within 6 eps relative.  Two more
+entries take complex arrays, for integrands continued up a ray in the
+upper half-plane: the scaled H1 (``hankel1e``) and J (``jve``).  Only the
 0F1/0F3 series are summed here directly.  A scalar 0F1/0F3 is a term
 recurrence on Python floats summed by :func:`_sum_series`, the one
 compensated loop of every scalar series (``besselint.series`` imports it):
@@ -65,6 +67,8 @@ __all__ = [
     "bessel_i_vec",
     "bessel_i_scaled_vec",
     "bessel_k_scaled_vec",
+    "bessel_h1_scaled_vec",
+    "bessel_j_scaled_vec",
     "kelvin_ber",
     "kelvin_bei",
     "kelvin_ber_vec",
@@ -334,6 +338,19 @@ def bessel_k_scaled_vec(nu, x: np.ndarray) -> np.ndarray:
     return _bessel_vec(_sp.kve, _KE_CEPHES, nu, x)
 
 
+def bessel_h1_scaled_vec(nu: float, z: np.ndarray) -> np.ndarray:
+    """H1_nu(z) * exp(-i z) over a complex array (AMOS ``hankel1e``).
+
+    The scaling removes the growth and the oscillation of H1 along a ray in
+    the upper half-plane, where H1_nu(z) ~ sqrt(2/(pi z)) exp(i z)."""
+    return _sp.hankel1e(nu, z)
+
+
+def bessel_j_scaled_vec(nu: float, z: np.ndarray) -> np.ndarray:
+    """J_nu(z) * exp(-|Im z|) over a complex array (AMOS ``jve``)."""
+    return _sp.jve(nu, z)
+
+
 # ----------------------------------------------------------------------
 # Kelvin functions of general real order
 # ----------------------------------------------------------------------
@@ -415,8 +432,9 @@ def _hyp0fq_vec(bs: tuple[float, ...], z: np.ndarray, max_terms: int):
     magnitudes that tracks cancellation.  The series stops after the first block whose
     last three terms are below eps*max(|total|, eps*sum|term|) for every
     element, so ``terms`` is a multiple of B unless ``max_terms`` (a hard
-    budget) cut the last block short.  The error is |last term| plus
-    4*eps*sum|term|.
+    budget) cut the last block short.  An element whose total overflowed
+    (inf or NaN) stops there too, unconverged.  The error is |last term|
+    plus 4*eps*sum|term|.
 
     That error is an estimate, not a bound.  Only the block sums are
     compensated; the B terms inside a block are added plainly, whose worst
@@ -439,7 +457,7 @@ def _hyp0fq_vec(bs: tuple[float, ...], z: np.ndarray, max_terms: int):
     total = np.ones(z.shape, dtype=float)
     abs_sum = np.ones(z.shape, dtype=float)
     last = np.full((3, z.size), np.inf)  # |term| of the last three terms
-    done = np.zeros(z.shape, dtype=bool)
+    busy = np.ones(z.shape, dtype=bool)
     k = 0
     while k < max_terms:
         m = min(_BLOCK, max_terms - k)
@@ -457,10 +475,12 @@ def _hyp0fq_vec(bs: tuple[float, ...], z: np.ndarray, max_terms: int):
         last = aterms[-3:] if m >= 3 else np.concatenate((last, aterms))[-3:]
         k += m
         scale = np.maximum(np.abs(total), _EPS * abs_sum)
-        done = np.maximum.reduce(last, axis=0) <= _EPS * scale
-        if np.logical_and.reduce(done):
+        # NaN compares False, so an element whose sum overflowed stops here too
+        busy = np.maximum.reduce(last, axis=0) > _EPS * scale
+        if not np.logical_or.reduce(busy):
             break
     err = np.abs(term) + 4.0 * _EPS * abs_sum
+    done = ~busy & np.isfinite(total)
     return total.reshape(shape), err.reshape(shape), k, done.reshape(shape)
 
 

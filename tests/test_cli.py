@@ -159,10 +159,10 @@ def test_unconverged_kernel_is_inconclusive_not_fail(capsys):
 def test_verify_strict_inconclusive(capsys):
     # forced non-convergence via a tiny cell budget: inconclusive entries
     # exit 0 with a warning unless --strict
-    code, out, _ = run(capsys, ["verify", "I-2.12", "--max-cells", "4"])
+    code, out, _ = run(capsys, ["verify", "I-2.19", "--max-cells", "4"])
     assert code == 0
     assert "warning" in out and "inconclusive" in out
-    code, _, _ = run(capsys, ["verify", "I-2.12", "--max-cells", "4", "--strict"])
+    code, _, _ = run(capsys, ["verify", "I-2.19", "--max-cells", "4", "--strict"])
     assert code == 1
 
 

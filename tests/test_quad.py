@@ -9,7 +9,7 @@ from besselint import quad
 from besselint.quad import (EndpointSingularity, Integrand,
                             OscillationDescriptor, epsilon_extrapolate,
                             integrate_finite, integrate_semiinf_decaying,
-                            integrate_semiinf_oscillatory)
+                            integrate_semiinf_oscillatory, integrate_semiinf_ray)
 from besselint.specfun import DomainError
 
 import oracles
@@ -73,6 +73,19 @@ def test_transformed_integrand_against_composite_oracle():
                   singularities=(EndpointSingularity(1.0, nu - 0.5),))
     r = integrate_finite(f, 0.0, 1.0, 1e-11)
     assert rel(r.value, want) < 1e-9
+
+
+def test_singular_end_where_a_factor_of_f_overflows():
+    # x^-4 * x^3.05 ~ x^-0.95: the substitution's p = 40 puts nodes where
+    # x^-4 alone overflows; nearer 0 than eps the smooth factor is constant
+    f = Integrand(lambda x: x ** -4.0 * x ** 3.05 * np.cos(x),
+                  singularities=(EndpointSingularity(0.0, -0.95),))
+    with np.errstate(over="ignore"):
+        r = integrate_finite(f, 0.0, 1.0, 1e-12)
+    # int_0^1 x^-0.95 cos x dx, term by term
+    want = math.fsum((-1) ** k / (math.factorial(2 * k) * (2 * k + 0.05)) for k in range(12))
+    assert r.converged
+    assert abs(r.value - want) <= r.abs_err_est
 
 
 def test_interior_singularity_split():
@@ -226,6 +239,49 @@ def test_decaying_node_budget_is_hard():
     assert r.terms_or_nodes_used <= 200
     r = integrate_finite(lambda x: np.sin(x), 0.0, 1.0, 1e-12, max_evals=10)
     assert not r.converged and r.terms_or_nodes_used == 0
+
+
+# ----------------------------------------------------------------------
+# semi-infinite, oscillatory along a vertical ray
+# ----------------------------------------------------------------------
+
+def _j0_on_ray(x0):
+    # H1_0(z) = hankel1e(0, z) exp(i x0) exp(-Im z) on Re z = x0; Re H1_0 = J_0
+    return lambda z: sp.hankel1e(0, z) * np.exp(1j * x0) * np.exp(-z.imag)
+
+
+@pytest.mark.parametrize("f, fc, want", [
+    (sp.j0, _j0_on_ray(math.pi), 1.0),
+    (lambda x: np.sinc(x / np.pi), lambda z: -1j * np.exp(1j * z) / z, 0.5 * math.pi),
+], ids=["J0", "sinc"])
+def test_ray_unit_integrals(f, fc, want):
+    # int_0^inf J_0(x) dx = 1 and int_0^inf sin(x)/x dx = pi/2, each tail
+    # the decaying integral -int_0^inf Im F(pi + iy) dy
+    r = integrate_semiinf_ray(f, 0.0, math.pi, fc, 1.0, 1e-10)
+    assert r.converged and r.note == ""
+    assert abs(r.value - want) <= r.abs_err_est < 1e-9
+    assert r.terms_or_nodes_used < 1000
+
+
+def test_ray_node_budget_is_hard():
+    # head and tail share max_evals; a budget the tail cannot meet is not converged
+    for max_evals in (0, 20, 100):
+        r = integrate_semiinf_ray(sp.j0, 0.0, math.pi, _j0_on_ray(math.pi), 1.0, 1e-10,
+                                  max_evals=max_evals)
+        assert not r.converged and "budget" in r.note, max_evals
+        assert r.terms_or_nodes_used <= max_evals
+
+
+def test_ray_nonfinite_continuation_is_unconverged():
+    def nan_on_ray(z):
+        return np.full(z.shape, complex(np.nan, np.nan))
+
+    r = integrate_semiinf_ray(sp.j0, 0.0, math.pi, nan_on_ray, 1.0, 1e-10)
+    assert not r.converged
+    assert math.isinf(r.abs_err_est)
+    assert r.note == "integrate_finite: non-finite integrand value"
+    with pytest.raises(DomainError):
+        integrate_semiinf_ray(sp.j0, 1.0, 1.0, _j0_on_ray(1.0), 1.0, 1e-10)
 
 
 # ----------------------------------------------------------------------
