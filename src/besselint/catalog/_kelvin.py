@@ -17,7 +17,8 @@ import numpy as np
 
 from ..specfun import (EvalResult, bessel_i, bessel_i_scaled_vec, bessel_i_vec, bessel_j,
                        bessel_j_vec, bessel_k, bessel_k_scaled_vec, closed_form, kelvin_bei,
-                       kelvin_bei_vec, kelvin_ber, kelvin_ber_vec, product, scaled)
+                       kelvin_bei_vec, kelvin_ber, kelvin_ber_vec, kelvin_vec, product,
+                       scaled)
 from ..quad import (OscillationDescriptor, integrate_semiinf_decaying,
                     integrate_semiinf_oscillatory)
 from ._records import Budgets, Constraint, IdentityRecord, ParamSpace
@@ -302,8 +303,12 @@ def _k1_core(nu: float, p, kelvin, b: Budgets, tol: float) -> EvalResult:
 def _k1_lhs(p, b: Budgets, tol: float) -> EvalResult:
     nu = p["nu"]
     s3, c3 = math.sin(1.5 * math.pi * nu), math.cos(1.5 * math.pi * nu)
-    return _k1_core(nu, p, lambda z: (c3 * kelvin_bei_vec(2 * nu, z)
-                                      - s3 * kelvin_ber_vec(2 * nu, z)), b, tol)
+
+    def kelvin(z):
+        w = kelvin_vec(2 * nu, z)  # ber + i bei from one jv call
+        return c3 * w.imag - s3 * w.real
+
+    return _k1_core(nu, p, kelvin, b, tol)
 
 
 def _k1_rhs(p, b: Budgets, tol: float) -> EvalResult:

@@ -10,11 +10,14 @@ numerical m-th derivative the generalization needs.
 Every infinite series here is a generator of its terms summed by
 ``specfun._sum_series``, the compensated loop that also sums the scalar
 0F1/0F3 kernels, with the stopping rule and error formula of the vector
-0F1/0F3.  The Gauss-sum term m is the longdouble dot product of the two
-Bessel power series' coefficient runs over k + j = m (their Cauchy
-product).  The 0F1 product, like the scalar 0F1, comes back unconverged
-when an inner 0F1 did not converge or its error estimate exceeds its
-value.
+0F1/0F3.  Two series form their terms a block at a time with array
+operations and hand them to that loop one by one: the Gauss sum takes a
+block of terms from one convolution of the two Bessel power series'
+longdouble coefficient runs (their Cauchy product), and the 0F1 product
+takes the inner 0F1 of a block of terms from one call of the vector
+0F1/0F3 summer.  The 0F1 product, like the scalar 0F1, comes back
+unconverged when an inner 0F1 did not converge or its error estimate
+exceeds its value.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Callable
 import numpy as np
 from scipy import special as _sp
 
-from .specfun import DomainError, EvalResult, _sum_series, hyp0f1, log_gamma, scaled
+from .specfun import DomainError, EvalResult, _hyp0fq_vec, _sum_series, log_gamma, scaled
 
 __all__ = [
     "TripleParams",
@@ -41,6 +44,13 @@ __all__ = [
 ]
 
 _EPS = 2.0 ** -52
+
+# Terms in the first block of product_jj_gauss (48 covers a x <= 10 in one
+# block) and inner 0F1 in the first block of hyp0f1_product; each further
+# block doubles.  An inner 0F1 has the term budget of the scalar hyp0f1.
+_GAUSS_BLOCK = 48
+_HYP_BLOCK = 16
+_INNER_MAX_TERMS = 10000
 
 
 def _order_m(m, who: str) -> int:
@@ -82,14 +92,18 @@ def product_jj_gauss(mu: float, nu: float, a: float, b: float, x: float,
 
     The m-th term, (-1)^m (ax/2)^(2m) / (m! (mu+1)_m) times the terminating
     2F1(-m, -mu-m; nu+1; b^2/a^2), is the Cauchy product of the two power
-    series: the dot product of A_k = (-(ax/2)^2)^k / (k! (mu+1)_k) with
-    B_j = (-(bx/2)^2)^j / (j! (nu+1)_j) over k + j = m, normalized by the
-    gamma prefactors.  Serves as the series oracle for the direct product;
+    series: T_m = sum over k + j = m of A_k B_j, with A_k = (-(ax/2)^2)^k /
+    (k! (mu+1)_k) and B_j = (-(bx/2)^2)^j / (j! (nu+1)_j), normalized by the
+    gamma prefactors.  The terms are formed a block at a time: the first n
+    of each run from one cumulative product of its ratios -q / (k (order+k)),
+    then T_0 .. T_(n-1) from one convolution of the two runs.  The block
+    holds ``_GAUSS_BLOCK`` terms and doubles each time the stopping rule
+    asks for more.  Serves as the series oracle for the direct product;
     requires 0 < b <= a.
 
     The outer sum cancels like exp(2 b x) while the result stays O(1),
-    so the coefficients and the sum are held in extended precision
-    (longdouble) to hold the 1e-8 agreement window out to a x ~ 10.
+    so the coefficients, the terms and the sum are held in extended
+    precision (longdouble) to hold the 1e-8 agreement window out to a x ~ 10.
     """
     mu, nu, a, b, x = float(mu), float(nu), float(a), float(b), float(x)
     if not (0.0 < b <= a):
@@ -108,20 +122,22 @@ def product_jj_gauss(mu: float, nu: float, a: float, b: float, x: float,
              -log_gamma(mu + 1.0), -log_gamma(nu + 1.0))
     # log_gamma drops the sign of Gamma, negative for orders in (-2, -1), (-4, -3), ...
     pref = math.exp(math.fsum(parts)) * float(_sp.gammasgn(mu + 1.0) * _sp.gammasgn(nu + 1.0))
-    qa = ld(0.25) * ld(a) * ld(a) * ld(x) * ld(x)  # (ax/2)^2
-    qb = ld(0.25) * ld(b) * ld(b) * ld(x) * ld(x)  # (bx/2)^2
+    # row i of ``runs`` holds factor i's (-q)^k / (k! (order+1)_k), k < n,
+    # with q = (ax/2)^2 and (bx/2)^2
+    q = np.array([[a], [b]], dtype=ld)
+    q = 0.25 * q * q * x * x
+    order = np.array([[mu], [nu]], dtype=ld)
 
     def terms():
-        A = np.ones(64, dtype=ld)
-        B = np.ones(64, dtype=ld)
-        for m in itertools.count():
-            if m == A.size:
-                A, B = np.resize(A, 2 * m), np.resize(B, 2 * m)
-            if m:
-                A[m] = A[m - 1] * (-qa) / (m * (ld(mu) + m))
-                B[m] = B[m - 1] * (-qb) / (m * (ld(nu) + m))
-            term = np.dot(A[:m + 1], B[m::-1])
-            yield term, abs(term)
+        n, done = _GAUSS_BLOCK, 0
+        while True:
+            k = np.arange(1, n, dtype=ld)
+            runs = np.ones((2, n), dtype=ld)
+            np.divide(-q, k * (order + k), out=runs[:, 1:])
+            np.cumprod(runs, axis=1, out=runs)
+            block = np.convolve(runs[0], runs[1])[done:n]
+            yield from zip(block, np.abs(block))
+            done, n = n, 2 * n
 
     # an error d in the exponent moves pref by d relative; math.lgamma is
     # good to about 6.3 eps*max(1, |value|) against mpmath, and 2 eps more
@@ -161,32 +177,44 @@ def product_jj_neumann(nu: float, a: float, b: float, x: float,
 def hyp0f1_product(c: float, x: float, y: float, max_terms: int = 500) -> EvalResult:
     """0F1(;c;x) * 0F1(;c;y) via the product expansion.
 
-    Sums sum_r (xy)^r / (r! (c)_r (c)_2r) * 0F1(;c+2r;x+y).  The error
+    Sums sum_r (xy)^r / (r! (c)_r (c)_2r) * 0F1(;c+2r;x+y).  The inner 0F1
+    of a block of r (16, doubling while the outer sum asks for more) come
+    from one call of the vector summer ``specfun._hyp0fq_vec`` with the
+    array parameter c + 2r; each keeps its own error estimate and
+    convergence flag, and counts the terms of its vector block.  The error
     estimate adds sum_r |coeff_r| * (error of the r-th inner 0F1) to that of
     the outer sum.  Like the scalar 0F1, the result is unconverged when an
-    inner 0F1 did not converge or the estimate exceeds |value|.
+    inner 0F1 did not converge or lost every digit (its estimate exceeds its
+    value), or when the estimate exceeds |value|.
     """
     c, x, y = float(c), float(x), float(y)
     if c <= 0.0 and c == math.floor(c):
         raise DomainError(f"hyp0f1_product: c={c!r} is a nonpositive-integer pole")
     xy = x * y
     s = x + y
+    if s < -1e6:
+        raise DomainError(f"hyp0f1_product: x+y={s!r} below the 0F1 window x+y >= -1e6")
     inner_terms = 0
     inner_err = 0.0
     inner_ok = True
 
     def terms():
         nonlocal inner_terms, inner_err, inner_ok
-        coeff = 1.0
-        for r in itertools.count():
-            if r:
-                coeff *= xy / (r * (c + r - 1.0) * (c + 2.0 * r - 2.0) * (c + 2.0 * r - 1.0))
-            inner = hyp0f1(c + 2.0 * r, s)
-            inner_terms += inner.terms_or_nodes_used
-            inner_err += abs(coeff) * inner.abs_err_est
-            inner_ok = inner_ok and inner.converged
-            term = coeff * inner.value
-            yield term, abs(term)
+        coeff, r0, n = 1.0, 0, _HYP_BLOCK
+        while True:
+            vals, errs, k, oks = _hyp0fq_vec((c + 2.0 * np.arange(r0, r0 + n),), s,
+                                             _INNER_MAX_TERMS)
+            for r, v, e, ok in zip(range(r0, r0 + n), vals.tolist(), errs.tolist(),
+                                   oks.tolist()):
+                if r:
+                    coeff *= xy / (r * (c + r - 1.0) * (c + 2.0 * r - 2.0) * (c + 2.0 * r - 1.0))
+                inner_terms += k
+                inner_err += abs(coeff) * e
+                # an inner 0F1 whose estimate exceeds its value kept no digit
+                inner_ok = inner_ok and ok and e <= abs(v)
+                term = coeff * v
+                yield term, abs(term)
+            r0, n = r0 + n, 2 * n
 
     outer = _sum_series(terms(), max_terms, "hyp0f1_product")
     err = outer.abs_err_est + inner_err

@@ -71,6 +71,7 @@ __all__ = [
     "bessel_j_scaled_vec",
     "kelvin_ber",
     "kelvin_bei",
+    "kelvin_vec",
     "kelvin_ber_vec",
     "kelvin_bei_vec",
     "hyp0f1",
@@ -358,8 +359,9 @@ def bessel_j_scaled_vec(nu: float, z: np.ndarray) -> np.ndarray:
 _KELVIN_RAY = cmath.exp(0.75j * math.pi)
 
 
-def _kelvin_complex(nu: float, x):
-    """ber_nu(x) + i*bei_nu(x) = J_nu(x * exp(3*pi*i/4)), by scipy's complex jv."""
+def kelvin_vec(nu: float, x: np.ndarray) -> np.ndarray:
+    """ber_nu(x) + i*bei_nu(x) = J_nu(x * exp(3*pi*i/4)) over nonnegative float64
+    arrays, by scipy's complex jv: both members from one call (integrand use)."""
     return _sp.jv(nu, np.asarray(x, dtype=float) * _KELVIN_RAY)
 
 
@@ -376,7 +378,7 @@ def _kelvin_scalar(nu: float, x: float, component: int) -> EvalResult:
         if component == 0:
             return EvalResult(1.0 if nu == 0.0 else 0.0, 0.0, True, 1)
         return EvalResult(0.0, 0.0, True, 1)
-    w = complex(_kelvin_complex(nu, x))
+    w = complex(kelvin_vec(nu, x))
     v = w.real if component == 0 else w.imag
     if not cmath.isfinite(w):
         return EvalResult(v, math.inf, False, 1, note="kelvin: non-finite jv value")
@@ -398,12 +400,12 @@ def kelvin_bei(nu: float, x: float) -> EvalResult:
 
 def kelvin_ber_vec(nu: float, x: np.ndarray) -> np.ndarray:
     """Vectorized ber_nu over nonnegative float64 arrays (integrand use)."""
-    return _kelvin_complex(nu, x).real
+    return kelvin_vec(nu, x).real
 
 
 def kelvin_bei_vec(nu: float, x: np.ndarray) -> np.ndarray:
     """Vectorized bei_nu over nonnegative float64 arrays (integrand use)."""
-    return _kelvin_complex(nu, x).imag
+    return kelvin_vec(nu, x).imag
 
 
 # ----------------------------------------------------------------------
@@ -423,7 +425,12 @@ _BLOCK = 16
 def _hyp0fq_vec(bs: tuple[float, ...], z: np.ndarray, max_terms: int):
     """Sum sum_k z^k / (k! * prod (b)_k) over an array of z, a block of terms at a time.
 
-    Returns (value, abs_err, terms, converged), ``converged`` per element.
+    Each parameter b is a float or an array; z and the parameters broadcast
+    against each other, and each element of the broadcast shape sums its
+    own series.  Returns (value, abs_err, terms, converged) in that shape,
+    ``converged`` per element; ``terms`` is shared by every element.  With
+    scalar parameters one denominator column serves every element; with an
+    array parameter each element has its own.
     A block of B = ``_BLOCK`` terms is one (B, n) array: the ratios
     z / ((k+1) prod(b+k)) from one outer division, turned into terms by one
     cumulative product down the block.  One reduction per block gives the
@@ -448,11 +455,20 @@ def _hyp0fq_vec(bs: tuple[float, ...], z: np.ndarray, max_terms: int):
     1500 (the ``kernels`` benchmark workload).
     """
     z = np.asarray(z, dtype=float)
+    # (k+1) * prod(b+k) is the product over the parameters (1, *bs) of (b+k):
+    # shifts[j, i] holds param_i + j for the block offset j, along a last
+    # axis of one shared column or of one column per element
+    if np.ndarray in map(type, bs):
+        z = np.full(np.broadcast(z, *bs).shape, z)
+        params = np.empty((1 + len(bs), *z.shape))
+        for i, b in enumerate((1.0, *bs)):
+            params[i] = b
+        params = params.reshape(1 + len(bs), -1)
+    else:
+        params = np.array((1.0, *bs))[:, None]
+    shifts = np.arange(_BLOCK, dtype=float)[:, None, None] + params
     shape = z.shape
     z = z.ravel()
-    # (k+1) * prod(b+k) is the product over the parameters (1, *bs) of (b+k):
-    # column i of ``shifts`` holds param_i + j for the block offsets j
-    shifts = np.arange(_BLOCK, dtype=float)[:, None] + np.array((1.0, *bs))
     term, comp = 1.0, 0.0
     total = np.ones(z.shape, dtype=float)
     abs_sum = np.ones(z.shape, dtype=float)
@@ -462,7 +478,7 @@ def _hyp0fq_vec(bs: tuple[float, ...], z: np.ndarray, max_terms: int):
     while k < max_terms:
         m = min(_BLOCK, max_terms - k)
         denom = np.multiply.reduce(shifts[:m] + k, axis=1)
-        terms = z / denom[:, None]  # row j: ratio of term k+j+1 to term k+j
+        terms = z / denom  # row j: ratio of term k+j+1 to term k+j
         terms[0] *= term
         np.multiply.accumulate(terms, axis=0, out=terms)
         term = terms[-1]

@@ -138,6 +138,24 @@ def test_kelvin_point_passes_quickly():
     assert time.perf_counter() - t0 < 5.0
 
 
+def test_k1_left_side_takes_ber_and_bei_from_one_call():
+    # one kelvin_vec call per node array gives the I-K1 left side bit for bit
+    # as separate ber and bei calls on the same argument
+    from besselint.catalog import _kelvin
+    from besselint.specfun import kelvin_bei_vec, kelvin_ber_vec
+
+    rec = next(r for r in catalog.list_identities() if r.id == "I-K1")
+    budgets, tol = Budgets(), 1e-11
+    for point in rec.space.grid():
+        p = catalog.validate_point(rec, point)
+        nu = p["nu"]
+        s3, c3 = math.sin(1.5 * math.pi * nu), math.cos(1.5 * math.pi * nu)
+        two_calls = _kelvin._k1_core(
+            nu, p, lambda z: c3 * kelvin_bei_vec(2 * nu, z) - s3 * kelvin_ber_vec(2 * nu, z),
+            budgets, tol)
+        assert rec.lhs(p, budgets, tol) == two_calls, point
+
+
 def test_verify_grid_default_pass():
     rep = catalog.verify_grid("I-2.32", rel_tol=1e-8)
     assert rep.summary["fail"] == 0 and rep.summary["inconclusive"] == 0

@@ -225,6 +225,22 @@ def test_hyp0f1_product_against_mpmath():
             assert r.abs_err_est < 1e-10 * abs(want)
 
 
+def test_hyp0f1_product_within_error_estimate_against_mpmath():
+    # seeded points over the range of the kernels benchmark workload, against
+    # mpmath at 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(21)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for _ in range(300):
+            c, x, y = rng.uniform(0.5, 3.0), rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0)
+            r = se.hyp0f1_product(c, x, y)
+            want = mpmath.hyp0f1(c, x) * mpmath.hyp0f1(c, y)
+            assert r.converged, (c, x, y)
+            worst = max(worst, float(abs(r.value - want)) / r.abs_err_est)
+    assert worst <= 1.0
+
+
 # ----------------------------------------------------------------------
 # weber_triple family
 # ----------------------------------------------------------------------

@@ -474,8 +474,38 @@ def test_hyp0fq_repeatable_and_term_budget_hard():
         assert not ok[0] and ok[1] == (max_terms >= 3)
 
 
+def test_vector_0f1_takes_array_parameters():
+    # parameters c + 2r as in the 0F1 product, broadcast against a row of z:
+    # element by element the scalar 0F1's value within both estimates and
+    # its convergence flag; z = -1e6 overflows every element in both
+    c = 0.3 + 2.0 * np.arange(16.0)[:, None]
+    z = np.array([[-25.0, -6.0, -1.0, 0.0, 0.5, 4.0, 8.0, 25.0, -1e6]])
+    with np.errstate(all="ignore"):
+        v, err, terms, ok = sf._hyp0fq_vec((c,), z, 10000)
+    assert v.shape == err.shape == ok.shape == (16, 9) and terms % sf._BLOCK == 0
+    for i, j in np.ndindex(v.shape):
+        r = sf.hyp0f1(c[i, 0], z[0, j])
+        assert bool(ok[i, j]) == r.converged == (j != 8), (c[i, 0], z[0, j])
+        if r.converged:
+            assert abs(v[i, j] - r.value) <= err[i, j] + r.abs_err_est, (c[i, 0], z[0, j])
+    # an array of one parameter value gives exactly what the scalar gives
+    zs = np.linspace(-25.0, 25.0, 40)
+    np.testing.assert_array_equal(sf._hyp0fq_vec((np.full(40, 0.7),), zs, 10000)[0],
+                                  sf.hyp0f1_vec(0.7, zs))
+
+
+def test_vector_0fq_values_with_scalar_parameters_are_pinned():
+    # the values of the scalar-parameter vector kernels, bit for bit
+    v = sf.hyp0f1_vec(0.7, np.array([-25.0, -3.5, 0.5, 1.25]))
+    assert v.tolist() == [-0.5136785126549462, -0.6219068897871987,
+                          1.8260355924465244, 3.552569704915827]
+    v = sf.hyp0f3_vec(1.5, 2.0, 2.5, np.array([-5000.0, -60.0, 0.3, 250.0]))
+    assert v.tolist() == [13750.650483874155, -0.4269346205278466,
+                          1.0402289344603102, 537.0215748209711]
+
+
 def test_scalar_hyp0fq_takes_no_array_path(monkeypatch):
-    # the scalar kernels and the 0F1 product sum on Python floats
+    # the scalar kernels sum on Python floats
     def no_arrays(*args):
         raise AssertionError("scalar 0F1/0F3 called the vector summer")
 
@@ -483,8 +513,6 @@ def test_scalar_hyp0fq_takes_no_array_path(monkeypatch):
     monkeypatch.setattr(sf, "_hyp0fq_vec", no_arrays)
     assert (sf.hyp0f1(1.5, -20.0), sf.hyp0f3(1.5, 2.0, 2.5, -300.0)) == want
     assert all(r.converged for r in want)
-    from besselint import series
-    assert series.hyp0f1_product(1.5, 2.0, 3.0).converged
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 17])

@@ -1,5 +1,6 @@
 """tools/: compare_reports prints moves and fails on structural changes;
-bench_pairs reports a run that printed no result and records passes."""
+bench_pairs reports a run that printed no result and records passes and
+counts."""
 
 import importlib.util
 import json
@@ -97,3 +98,22 @@ def test_bench_pairs_records_passes(tmp_path):
                                   [spec], 1)
     assert block["passes"] == {"parent": [482], "change": [811]}
     assert block["metrics"]["peak_rss_mb"]["change_runs"] == [72.4]
+
+
+def test_bench_pairs_records_counts_once_per_side():
+    # count metrics of the traced runs go in once per side; a count that does
+    # not repeat within a side keeps all its values; other units stay out
+    tool = _load_tool("bench_pairs")
+
+    def run(terms, calls=24):
+        return {"metrics": {
+            "series.product_jj_gauss.terms": {"value": terms, "unit": "count"},
+            "series.product_jj_gauss.calls": {"value": calls, "unit": "count"},
+            "series.product_jj_gauss.self_s": {"value": 0.003, "unit": "s"},
+            "probe.hyp0f3_vec.ns_per_point.n15": {"value": 1800.0, "unit": "ns"}}}
+
+    counts = tool.count_block({"parent": [run(603), run(603)],
+                               "change": [run(603, 24), run(603, 25)]})
+    assert counts == {
+        "series.product_jj_gauss.terms": {"parent": 603, "change": 603},
+        "series.product_jj_gauss.calls": {"parent": 24, "change": [24, 25]}}

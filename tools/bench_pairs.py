@@ -13,13 +13,14 @@ once on the parent and once on the working tree, back to back, the parent
 first in even pairs and the working tree first in odd pairs; within a pair
 the workloads alternate.  There are 10 pairs at seed 11 and 2 at
 ``--extra-seed``, a seed not used while developing the change.  Two more
-pairs of ``--trace 1`` runs of ``kernels`` record the layer probes.
+pairs of ``--trace 1`` runs of ``kernels`` record the layer probes and,
+once per side, the count metrics (calls, points, terms, nodes).
 
 The result, ``BENCH_<pr>.json``, holds for every workload and seed the
 runs, medians, quartiles, wins and bound checks of the end-to-end metrics
 declared in ``BENCHMARK.json``, and the passes each run made; the claim,
-if one is named; the probes; and the net line change of ``src/besselint``
-and ``tests``.  A claim is
+if one is named; the probes; the counts; and the net line change of
+``src/besselint`` and ``tests``.  A claim is
 met when the change wins at least 9 of the 10 pairs at seed 11, its median
 beats the parent's by more than the parent's interquartile range, and its
 failed share is no larger than the parent's.
@@ -208,6 +209,24 @@ def probe_block(side_runs: dict) -> dict:
     return probes
 
 
+def count_block(side_runs: dict) -> dict:
+    """The count metrics of traced runs, once per side.
+
+    A count repeats exactly for a seed, so one value stands for every run of
+    a side; a count that differs between the runs of one side is kept as the
+    list of its values instead.
+    """
+    counts = {}
+    for name, metric in side_runs["parent"][0]["metrics"].items():
+        if metric["unit"] != "count":
+            continue
+        counts[name] = {}
+        for side in ("parent", "change"):
+            vals = [r["metrics"][name]["value"] for r in side_runs[side]]
+            counts[name][side] = vals[0] if len(set(vals)) == 1 else vals
+    return counts
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -249,6 +268,11 @@ def main(argv=None) -> int:
             "how": (f"perfbench/run.py --workload kernels --trace 1 --seed {SEED}, "
                     f"{PROBE_PAIRS} alternating pairs; lower is better"),
             "metrics": probe_block(runs["kernels"]),
+        }
+        result["counts"] = {
+            "how": (f"count metrics of the same {PROBE_PAIRS} traced kernels pairs, "
+                    "once per side (they repeat exactly for a seed)"),
+            "metrics": count_block(runs["kernels"]),
         }
     result["net_lines"] = net_lines(parent_sha)
 
