@@ -431,11 +431,15 @@ I_2_12 = IdentityRecord(
 def _i224_lhs(p, b: Budgets, tol: float) -> EvalResult:
     nu, al, be = p["nu"], p["alpha"], p["beta"]
 
+    g = 2 * nu + 1
+
     def fn(t):
-        return (np.exp(-be * t) * t ** (2 * nu + 1)
+        return (np.exp(-be * t) * t ** g
                 * hyp0f3_vec(1.5, nu + 1, nu + 1.5, -al * t * t, b.max_terms))
 
-    return integrate_semiinf_decaying(fn, 0.0, be, tol, max_evals=b.max_evals)
+    hints = () if g == round(g) else (EndpointSingularity(0.0, g),)
+    return integrate_semiinf_decaying(Integrand(fn, singularities=hints), 0.0, be, tol,
+                                      max_evals=b.max_evals)
 
 
 def _i224_rhs(p, b: Budgets, tol: float) -> EvalResult:

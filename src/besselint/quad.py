@@ -7,14 +7,16 @@ Four entry points, all returning :class:`~besselint.specfun.EvalResult`:
   round splits the worst intervals until their errors cover the excess
   over the target and evaluates all new panels in one integrand call per
   piece (Shampine's vectorized adaptive quadrature).  Interior intervals
-  are bisected; an interval at an end of its piece, once halved twice,
-  is graded geometrically toward that end, which finds an undeclared log
-  or power singularity there in a few rounds.  A run whose error stops
-  falling ends as stagnated;
+  are bisected; an interval at an end of its piece is graded
+  geometrically toward that end, as deep as the contraction of its error
+  since its last cut says the target needs (or twice as deep as it is),
+  which finds an undeclared log or power singularity there in a round or
+  two.  A run whose error stops falling ends as stagnated;
 * :func:`integrate_semiinf_decaying` -- semi-infinite integrals whose
   integrand decays at least like exp(-rate*x): one head pass over
-  [a, a + 30/rate], an analytic tail bound, and a finite extension only
-  where the bound asks for one;
+  [a, a + 30/rate] whose first integrand call also samples the tail, an
+  analytic tail bound, and a finite extension only where the bound asks
+  for one;
 * :func:`integrate_semiinf_oscillatory` -- conditionally convergent
   oscillatory tails by partition-extrapolation: integrate cell by cell
   between kernel sign-change clusters and accelerate the partial sums
@@ -64,6 +66,10 @@ __all__ = [
 ]
 
 _EPS = 2.0 ** -52
+
+# Smallest distance from a declared endpoint at which an offset form is
+# evaluated; |h|**gamma stays finite there for every gamma > -1.
+_H_FLOOR = 1e-280
 
 
 # ----------------------------------------------------------------------
@@ -171,29 +177,40 @@ _WG = np.array([
     0.279705391489276667901467771423780,
     0.129484966168869693270611432679082,
 ])
-_G_IDX = np.arange(1, 15, 2)
+
+# The Kronrod nodes mapped onto [0, 1], and half the weights in two
+# columns, K15 and K15 - G7: a panel's row of values times _W, times its
+# width, is its K15 estimate and the K15 - G7 difference.  _E weighs
+# their magnitudes into the error estimate |K15 - G7| + eps |K15|.
+_U = 0.5 + 0.5 * _XGK
+_W = 0.5 * np.column_stack((_WGK, _WGK))
+_W[1::2, 1] -= 0.5 * _WG
+_E = np.array([_EPS, 1.0])
 
 
 def _gk15(fn, lo: np.ndarray, hi: np.ndarray):
     """G7/K15 estimates on the k panels [lo[i], hi[i]] from one call of fn.
 
     fn sees all k*15 nodes at once; series kernels cost per call, not per
-    point.  Returns (values, errors, note): ``note`` is empty on success
-    and names the fault, with values and errors None, when fn returned
-    the wrong shape or a non-finite value.
+    point.  Returns (values, errors, note) with values and errors as
+    lists: ``note`` is empty on success and names the fault, with values
+    and errors None, when fn returned the wrong shape or a non-finite
+    value.
     """
-    c = 0.5 * (lo + hi)
-    h = 0.5 * (hi - lo)
-    x = (c[:, None] + h[:, None] * _XGK).ravel()
+    d = hi - lo
+    x = np.multiply.outer(d, _U)
+    x += lo[:, None]
+    x = x.ravel()
     y = np.asarray(fn(x), dtype=float)
     if y.shape != x.shape:
         return None, None, f"integrate_finite: integrand returned shape {y.shape} for {x.size} nodes"
-    if not np.isfinite(y).all():
+    kg = y.reshape(-1, 15) @ _W
+    kg *= d[:, None]
+    # a non-finite node value makes its panel's sums non-finite, so the
+    # 15k values need a scan only when the sums fail it
+    if not math.isfinite(kg.sum()) and not np.isfinite(y).all():
         return None, None, "integrate_finite: non-finite integrand value"
-    y = y.reshape(-1, 15)
-    ik = h * (y @ _WGK)
-    ig = h * (y[:, _G_IDX] @ _WG)
-    return ik, np.abs(ik - ig) + _EPS * np.abs(ik), ""
+    return kg[:, 0].tolist(), (np.abs(kg) @ _E).tolist(), ""
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +241,12 @@ def _regularized_piece(f: Callable, lo: float, hi: float,
         off = sing.offset_fn
 
         def wrapped(s: np.ndarray) -> np.ndarray:
-            return np.asarray(off(s ** p), dtype=float) * p * s ** (p - 1)
+            # with gamma near -1, p is large and s**p underflows near s = 0,
+            # where off would be inf: take C = off(h) * h**-gamma at
+            # h >= _H_FLOOR, where it has stopped changing, and restore the
+            # singular factor as an exact power of s
+            h = np.maximum(s ** p, _H_FLOOR)
+            return np.asarray(off(h), dtype=float) * h ** (-g) * p * s ** power
 
         return wrapped, 0.0, smax
 
@@ -283,19 +305,18 @@ def _split_pieces(f: Integrand, a: float, b: float):
 # adaptive engine
 # ----------------------------------------------------------------------
 
-def _graded_split(lo: float, hi: float, toward_lo: bool, depth: int, most: int):
-    """The pieces ``depth`` rounds of halving [lo, hi] toward one end would make.
+def _graded_split(lo: float, hi: float, toward_lo: bool, depth: int, halvings: int):
+    """The pieces ``halvings`` rounds of halving [lo, hi] toward one end would make.
 
     Returns their edges and their halvings from the initial width, or None
     when fewer than two cuts fit.  The cuts are successive midpoints toward
-    lo (or hi), at most ``most`` of them, and none nearer that end than
-    1024 eps * max(|lo|, |hi|, 1), so that no Kronrod node rounds onto
-    the end itself.
+    lo (or hi), none nearer that end than 1024 eps * max(|lo|, |hi|, 1),
+    so that no Kronrod node rounds onto the end itself.
     """
     end, cut = (lo, hi) if toward_lo else (hi, lo)
     floor = 1024.0 * _EPS * max(abs(lo), abs(hi), 1.0)
     cuts = []
-    for _ in range(min(depth, most)):
+    for _ in range(halvings):
         cut = 0.5 * (end + cut)
         if abs(cut - end) < floor:
             break
@@ -320,13 +341,20 @@ def integrate_finite(f, a: float, b: float, tol: float, *,
     takes the worst intervals until their errors cover the excess over
     the target (at least one interval), splits them and evaluates every
     new panel with one call of f per piece.  An interval is bisected,
-    except one that touches an end of its piece after k >= 2 halvings
-    from its initial width: it is cut at once into the k + 1 pieces that
-    k more rounds of halving toward that end would make (QUADPACK's
-    graded refinement toward a singular end, Piessens et al. 1983), so an
-    unhinted log or power singularity at an end costs about log2 of the
-    rounds plain bisection needs.  Declared endpoint singularities are
-    removed by a power substitution before any abscissa is generated.
+    except one that touches an end of its piece: it is cut at once into
+    the pieces that k rounds of halving toward that end would make
+    (QUADPACK's graded refinement toward a singular end, Piessens et al.
+    1983).  When its error is below that of the end interval it was cut
+    from, by a factor rho > 1 per halving, k is the predicted depth: the
+    halvings after which an error shrinking at that rate is under
+    target / 4.  Otherwise k is the halvings it has had since its initial
+    width, doubling its depth.  k is capped by what the node budget leaves
+    and no cut comes nearer the end than 1024 eps * max(|lo|, |hi|, 1);
+    below 2 cuts the interval is bisected.  An unhinted log or power
+    singularity at an end then costs one halving and about one predicted
+    cut (``log x`` on [0, 1] at tol 1e-12: 4 integrand calls).  Declared
+    endpoint singularities are removed by a power substitution before any
+    abscissa is generated.
 
     The first non-finite integrand value, or a result of the wrong shape,
     ends the run unconverged, with a partial sum and an infinite error
@@ -345,22 +373,29 @@ def integrate_finite(f, a: float, b: float, tol: float, *,
         raise DomainError(f"integrate_finite: requires tol > 0, got {tol!r}")
     f = _as_integrand(f)
 
-    pieces = _split_pieces(f, a, b)
-    heap: list = []  # (-err, lo, hi, val, err, halvings, piece index)
+    pieces = _split_pieces(f, a, b) if f.singularities else [(f.fn, a, b)]
+    # one slot per panel evaluated: its value and error while it is a leaf
+    # (or frozen), zero once it is split
+    vals: list[float] = []
+    errs: list[float] = []
+    # (-err, slot, lo, hi, halvings, piece index, parent), parent the
+    # (error, halvings) of the end interval an end interval was cut from
+    heap: list = []
     evals = 0
-    frozen_val = 0.0  # intervals too narrow to split further
-    frozen_err = 0.0
 
     def evaluate(batch: dict) -> str:
-        """Evaluate {piece index: ([lo...], [hi...], [halvings...])}, one call per piece."""
+        """Evaluate {piece: ([lo...], [hi...], [halvings...], [parent...])}, a call per piece."""
         nonlocal evals
-        for i, (los, his, depths) in batch.items():
-            vals, errs, note = _gk15(pieces[i][0], np.array(los), np.array(his))
+        for i, (los, his, depths, parents) in batch.items():
+            v, e, note = _gk15(pieces[i][0], np.array(los), np.array(his))
             evals += 15 * len(los)
             if note:
                 return note
-            for lo, hi, val, err, d in zip(los, his, vals.tolist(), errs.tolist(), depths):
-                heapq.heappush(heap, (-err, lo, hi, val, err, d, i))
+            for slot, (lo, hi, err, d, par) in enumerate(zip(los, his, e, depths, parents),
+                                                         len(vals)):
+                heapq.heappush(heap, (-err, slot, lo, hi, d, i, par))
+            vals.extend(v)
+            errs.extend(e)
         return ""
 
     n0 = min(max(1, int(initial_intervals)), max_evals // (15 * len(pieces)))
@@ -370,13 +405,13 @@ def integrate_finite(f, a: float, b: float, tol: float, *,
     for i, (_, lo, hi) in enumerate(pieces):
         edges = lo + np.arange(n0 + 1) * ((hi - lo) / n0)
         edges[-1] = hi
-        grid[i] = (edges[:-1].tolist(), edges[1:].tolist(), [0] * n0)
+        grid[i] = (edges[:-1].tolist(), edges[1:].tolist(), [0] * n0, [None] * n0)
     note = evaluate(grid)
 
     err_mark, nodes_mark = math.inf, 0  # error and nodes at its last halving
     while not note:
-        total = math.fsum(item[3] for item in heap) + frozen_val
-        err_total = math.fsum(item[4] for item in heap) + frozen_err
+        total = math.fsum(vals)
+        err_total = math.fsum(errs)
         target = max(tol * abs(total), abs_floor)
         if err_total <= target and not math.isinf(err_total):
             return EvalResult(total, err_total, True, evals)
@@ -394,35 +429,54 @@ def integrate_finite(f, a: float, b: float, tol: float, *,
         taken = 0
         batch: dict = {}
         while heap and spare >= 30 and (taken == 0 or covered < excess):
-            _, lo, hi, val, err, depth, i = heapq.heappop(heap)
+            _, slot, lo, hi, depth, i, parent = heapq.heappop(heap)
+            err = errs[slot]
             taken += 1
             covered += err
             _, plo, phi = pieces[i]
-            split = _graded_split(lo, hi, lo == plo, depth, spare // 15 - 1) \
-                if depth >= 2 and (lo == plo or hi == phi) else None
+            at_lo, at_hi = lo == plo, hi == phi
+            split = None
+            if at_lo or at_hi:
+                halvings = depth  # doubling its depth
+                if parent is not None and 0.0 < err < parent[0]:
+                    # enough to bring it under target / 4 if its error keeps
+                    # shrinking at the rate per halving it has since its parent
+                    need = (math.log(4.0 * err / target) * (depth - parent[1])
+                            / math.log(parent[0] / err)) if target > 0.0 else math.inf
+                    halvings = max(1, math.ceil(min(need, spare)))
+                halvings = min(halvings, spare // 15 - 1)
+                if halvings >= 2:
+                    split = _graded_split(lo, hi, at_lo, depth, halvings)
             if split is None:
                 mid = 0.5 * (lo + hi)
                 if not (lo < mid < hi) or (hi - lo) < 16 * _EPS * max(abs(lo), abs(hi), 1.0):
-                    # too narrow to subdivide; freeze its estimate
-                    frozen_val += val
-                    frozen_err += err if math.isfinite(err) else abs(val) + 1e-300
+                    # too narrow to subdivide: it keeps its slot, frozen
+                    if not math.isfinite(err):
+                        errs[slot] = abs(vals[slot]) + 1e-300
                     continue
                 split = [lo, mid, hi], [depth + 1] * 2
             edges, depths = split
-            los, his, ds = batch.setdefault(i, ([], [], []))
+            vals[slot] = errs[slot] = 0.0
+            los, his, ds, parents = batch.setdefault(i, ([], [], [], []))
             los += edges[:-1]
             his += edges[1:]
             ds += depths
+            parents += ([(err, depth) if at_lo else None] + [None] * (len(edges) - 3)
+                        + [(err, depth) if at_hi else None])
             spare -= 15 * (len(edges) - 1)
         note = evaluate(batch)
 
-    return EvalResult(math.fsum(item[3] for item in heap) + frozen_val, math.inf,
-                      False, evals, note=note)
+    return EvalResult(math.fsum(vals), math.inf, False, evals, note=note)
 
 
 # ----------------------------------------------------------------------
 # semi-infinite, exponentially decaying
 # ----------------------------------------------------------------------
+
+# Tail probes at T + (0, 2/rate], in units of 1/rate, and exp(rate * probe)
+_PROBES = np.linspace(0.0, 2.0, 6)[1:]
+_PROBE_GROWTH = np.exp(_PROBES)
+
 
 def integrate_semiinf_decaying(f, a: float, rate: float, tol: float, *,
                                abs_floor: float = 1e-300,
@@ -434,10 +488,12 @@ def integrate_semiinf_decaying(f, a: float, rate: float, tol: float, *,
     does not converge.  The truncation point T is then pushed out from
     t0 until the sampled-envelope tail bound
     max|f| * exp(-rate*(t-T)) / rate  falls below half the budget, and
-    only a T past t0 adds [t0, T] to the head.  A bound still not met at
-    a + 900/rate (the rate overstates the decay) ends the run
-    unconverged.  The head, the tail probes and [t0, T] share the one
-    ``max_evals``.
+    only a T past t0 adds [t0, T] to the head.  The 5 probes at
+    t0 + (0, 2/rate] ride the head's first call of f, so a head that
+    converges in one round takes one call; a non-finite probe value pushes
+    T out.  A bound still not met at a + 900/rate (the rate overstates the
+    decay) ends the run unconverged.  The head, the tail probes (5 nodes
+    at each T) and [t0, T] share the one ``max_evals``.
     """
     lam = float(rate)
     if not (lam > 0.0):
@@ -450,28 +506,43 @@ def integrate_semiinf_decaying(f, a: float, rate: float, tol: float, *,
 
     span = 1.0 / lam
     t0 = a + 30.0 * span
-    head = integrate_finite(f, a, t0, 0.5 * tol, abs_floor=0.5 * abs_floor,
-                            max_evals=max_evals, initial_intervals=seeds(a, t0))
+    probes = _PROBES * span
+    ridden: list = []  # f at t0 + probes, from the head's first call of f
+
+    def head_fn(x: np.ndarray) -> np.ndarray:
+        if ridden:
+            return f.fn(x)
+        y = np.asarray(f.fn(np.concatenate((x, t0 + probes))), dtype=float)
+        if y.shape != (x.size + probes.size,):
+            return y  # the head reports the shape
+        ridden.append(y[x.size:])
+        return y[:x.size]
+
+    head = integrate_finite(Integrand(head_fn, f.singularities), a, t0, 0.5 * tol,
+                            abs_floor=0.5 * abs_floor, max_evals=max_evals - probes.size,
+                            initial_intervals=seeds(a, t0))
+    spent = head.terms_or_nodes_used + (probes.size if ridden else 0)
     if not head.converged:
-        return head
+        return EvalResult(head.value, head.abs_err_est, False, spent, note=head.note)
     scale = max(abs(head.value), abs_floor)
     budget = max(tol * scale, abs_floor)
 
-    probes = np.linspace(0.0, 2.0 * span, 6)[1:]
     T = t0
-    spent = head.terms_or_nodes_used
+    vals = ridden[0] if ridden else None
     while T <= a + 900.0 * span:
-        if spent + probes.size > max_evals:
-            return EvalResult(head.value, math.inf, False, spent,
-                              note="integrate_semiinf_decaying: node budget exhausted")
-        vals = np.abs(np.asarray(f(T + probes), dtype=float))
-        spent += probes.size
-        back = vals * np.exp(lam * probes)
+        if vals is None:
+            if spent + probes.size > max_evals:
+                return EvalResult(head.value, math.inf, False, spent,
+                                  note="integrate_semiinf_decaying: node budget exhausted")
+            vals = np.asarray(f.fn(T + probes), dtype=float)
+            spent += probes.size
+        back = np.abs(vals) * _PROBE_GROWTH
         m = float(np.max(back)) if np.all(np.isfinite(back)) else math.inf
         tail_bound = 2.0 * m / lam
         if tail_bound < 0.5 * budget:
             break
         T += 12.0 * span
+        vals = None
     else:
         why = "tail bound not met" if math.isfinite(tail_bound) else "tail probe non-finite"
         return EvalResult(head.value, math.inf, False, spent,
@@ -638,8 +709,8 @@ def _first_rounds(f: Integrand, lo: float, hi: float, period: float, n: int,
         note = "raised"
     if note:
         return out, 30 * len(plain)
-    for j, v, e in zip(plain, vals.reshape(-1, 2).tolist(), errs.reshape(-1, 2).tolist()):
-        total, err = math.fsum(v), math.fsum(e)
+    for j, v0, v1, e0, e1 in zip(plain, vals[::2], vals[1::2], errs[::2], errs[1::2]):
+        total, err = math.fsum((v0, v1)), math.fsum((e0, e1))
         if err <= max(_CELL_TOL * abs(total), abs_floor) and not math.isinf(err):
             out[j] = EvalResult(total, err, True, 30)
     return out, 30 * len(plain)

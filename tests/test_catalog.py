@@ -228,6 +228,25 @@ def test_i212_declares_its_endpoint_power(nu):
     assert r.status == "pass", r.note
 
 
+@pytest.mark.parametrize("nu", [-0.46, -0.48, -0.49, -0.499])
+@pytest.mark.parametrize("identity, point", [
+    ("I-2.26", {"y": 0.638}),
+    ("I-2.37", {"a": 1.0, "b": 0.8, "x": 2.0}),
+])
+def test_offset_form_with_nu_near_minus_half(identity, point, nu):
+    # (1-u^2)^(nu-1/2) with nu - 1/2 near -1: the substitution power is in
+    # the hundreds, and its offset form must not underflow to a non-finite value
+    r = catalog.verify(identity, {**point, "nu": nu})
+    assert r.status == "pass", r.note or r.rhs.note
+
+
+@pytest.mark.parametrize("nu", [-0.66, -0.75, -0.9])
+def test_i224_declares_its_endpoint_power(nu):
+    # t^(2nu+1) at 0: unhinted, these points stalled
+    r = catalog.verify("I-2.24", {"nu": nu, "alpha": 1.0, "beta": 1.0})
+    assert r.status == "pass", r.note or r.lhs.note
+
+
 def test_integrands_reach_amos_only_off_orders_0_and_1(monkeypatch):
     # integrands take J, Y, I, K of a scalar order 0 or +-1 from the Cephes
     # routines behind specfun's node-array entries; closed forms call AMOS

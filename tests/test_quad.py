@@ -61,6 +61,19 @@ def test_strong_singularity_with_offset_form():
     assert rel(r.value, exact) < 1e-13
 
 
+@pytest.mark.parametrize("g", [-0.99, -0.999])
+def test_offset_form_with_exponent_near_minus_one(g):
+    # p = ceil(2 / (1 + g)) is 200 or 2000, so s**p underflows next to s = 0,
+    # where the singular factor must still come out finite
+    exact = 0.5 * math.gamma(0.5) * math.gamma(g + 1.0) / math.gamma(g + 1.5)
+    f = Integrand(lambda u: (1 - u * u) ** g,
+                  singularities=(EndpointSingularity(
+                      1.0, g, offset_fn=lambda h: (h * (2 - h)) ** g),))
+    r = integrate_finite(f, 0.0, 1.0, 1e-12)
+    assert r.converged, r.note
+    assert abs(r.value - exact) <= r.abs_err_est
+
+
 def test_transformed_integrand_against_composite_oracle():
     # cos-kernel integrand with a (1-t^2)^(nu-1/2) endpoint factor at nu=1,
     # u=2: oracle is a 1e5-point composite rule on the u = 1-s^2 transform.
@@ -134,7 +147,22 @@ def test_unhinted_log_endpoint_is_graded(fn):
     r = integrate_finite(f, 0.0, 1.0, 1e-12, initial_intervals=4)
     assert r.converged
     assert abs(r.value + 1.0) <= r.abs_err_est
-    assert calls[0] <= 10
+    assert calls[0] <= 4
+
+
+@pytest.mark.parametrize("fn, exact, tol, most", [
+    (lambda x: x ** -0.3, 1.0 / 0.7, 1e-11, 6),
+    (np.log, -1.0, 1e-12, 5),
+], ids=["x^-0.3", "log x"])
+def test_end_interval_cut_to_predicted_depth(fn, exact, tol, most):
+    # after one halving of the end interval the contraction of its error is
+    # measured, and the next cut goes as deep as that rate says the target
+    # needs, instead of doubling the depth round by round
+    f, calls = counted(fn)
+    r = integrate_finite(f, 0.0, 1.0, tol)
+    assert r.converged
+    assert abs(r.value - exact) <= r.abs_err_est
+    assert calls[0] <= most
 
 
 def test_one_integrand_call_per_refinement_round():
@@ -200,11 +228,43 @@ def test_triple_j0_against_composite_oracle():
 
 def test_decaying_head_integrated_once():
     # the tail past 30/rate is below the budget, so [0, 30] is the whole work
+    # and the tail probes ride the head's first call
     f, calls = counted(lambda t: np.exp(-t) * np.cos(3.0 * t))
     r = integrate_semiinf_decaying(f, 0.0, 1.0, 1e-11)
     assert r.converged
     assert abs(r.value - 0.1) <= max(r.abs_err_est, 1e-13)
-    assert calls[0] <= 8
+    assert calls[0] <= 4
+
+
+def test_decaying_probe_nodes_are_charged():
+    # the 5 probes share the head's first call but are charged as nodes:
+    # every abscissa f sees is counted, and none past max_evals
+    seen = []
+
+    def f(t):
+        seen.append(t.size)
+        return np.exp(-t) * np.cos(3.0 * t)
+
+    for max_evals in (20, 100, 300, 455, 1_000_000):
+        seen.clear()
+        r = integrate_semiinf_decaying(f, 0.0, 1.0, 1e-11, max_evals=max_evals)
+        assert r.terms_or_nodes_used == sum(seen) <= max_evals
+    assert r.converged
+
+
+def test_decaying_nonfinite_probe_moves_truncation_out():
+    # f is NaN just past t0 = 30, where the first probes sit: T moves out a
+    # step, and [t0, T] meets the NaN, so the run cannot end on the head
+    seen = []
+
+    def f(t):
+        seen.append(t.max())
+        return np.where((t > 30.0) & (t < 32.5), np.nan, np.exp(-t))
+
+    r = integrate_semiinf_decaying(f, 0.0, 1.0, 1e-10)
+    assert max(seen) > 42.0
+    assert not r.converged
+    assert r.note == "integrate_finite: non-finite integrand value"
 
 
 def test_decay_rate_must_be_positive():
