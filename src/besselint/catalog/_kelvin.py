@@ -15,12 +15,12 @@ import math
 
 import numpy as np
 
-from ..specfun import (EvalResult, bessel_i, bessel_i_scaled_vec, bessel_i_vec, bessel_j,
+from ..specfun import (EvalResult, bessel_h1_scaled_vec, bessel_i, bessel_i_scaled_complex_vec,
+                       bessel_i_scaled_vec, bessel_i_vec, bessel_j, bessel_j_scaled_vec,
                        bessel_j_vec, bessel_k, bessel_k_scaled_vec, closed_form, kelvin_bei,
                        kelvin_bei_vec, kelvin_ber, kelvin_ber_vec, kelvin_vec, product,
                        scaled)
-from ..quad import (OscillationDescriptor, integrate_semiinf_decaying,
-                    integrate_semiinf_oscillatory)
+from ..quad import integrate_semiinf_decaying, integrate_semiinf_oscillatory
 from ._records import Budgets, Constraint, IdentityRecord, ParamSpace
 
 
@@ -157,35 +157,57 @@ def _kt_lhs(p, bei: bool, weight: EvalResult) -> EvalResult:
     return product(weight, (kelvin_bei if bei else kelvin_ber)(0.0, p["a"] * math.sqrt(p["t"])))
 
 
-def _i219_rhs_core(p, b: Budgets, tol: float, odd: bool, first_zero: float) -> EvalResult:
+# Past the foot x0 = max(pi/t, 1) of the ray, the kernel is the real part of
+# a continuation that decays like e^(-t Im z): cos(ty) = Re e^(ity),
+# sin(ty) = Re(-i e^(ity)) and J_0(ty) = Re H1_0(ty).  The other factors
+# continue analytically to Re z >= 1, where |1 + z^2| >= 1 keeps their
+# essential singularities at z = +-i out of reach; their arguments stay
+# bounded there, so the scaled kernels take back their exponentials.
+
+def _i219_rhs_core(p, b: Budgets, tol: float, odd: bool) -> EvalResult:
     # int_0^inf (1+y^2)^(-1/2) J_0(a^2/(4(1+y^2))) cosh|sinh(a^2 y/(4(1+y^2))) cos|sin(ty) dy,
     # the right side of I-2.19 (cosh, cos) and of I-2.20 (sinh, sin)
     a, t = p["a"], p["t"]
+    q = 0.25 * a * a
+    hyp, trig = (np.sinh, np.sin) if odd else (np.cosh, np.cos)
 
     def fn(y):
         w = 1 + y * y
-        return (w ** -0.5 * bessel_j_vec(0, 0.25 * a * a / w)
-                * (np.sinh if odd else np.cosh)(0.25 * a * a * y / w)
-                * (np.sin if odd else np.cos)(t * y))
+        return w ** -0.5 * bessel_j_vec(0, q / w) * hyp(q * y / w) * trig(t * y)
 
-    osc = OscillationDescriptor(math.pi / t, first_zero)
-    return integrate_semiinf_oscillatory(fn, 0.0, osc, tol, max_cells=b.max_cells,
-                                         max_evals=b.max_evals)
+    x0 = max(math.pi / t, 1.0)
+    phase = (-1j if odd else 1.0) * np.exp(1j * t * x0)
+
+    def fc(z):
+        w = 1 + z * z
+        u = q / w
+        return (w ** -0.5 * bessel_j_scaled_vec(0, u) * np.exp(np.abs(u.imag)) * hyp(q * z / w)
+                * phase * np.exp(-t * z.imag))
+
+    return integrate_semiinf_oscillatory(fn, 0.0, x0, fc, t, tol, max_evals=b.max_evals)
 
 
 def _i221_rhs_core(p, b: Budgets, tol: float, odd: bool) -> EvalResult:
     # int_0^inf y (1+y^2)^(-1/2) I_0(a^2 y/(4(1+y^2))) cos|sin(a^2/(4(1+y^2))) J_0(ty) dy,
     # the right side of I-2.21 (cos) and of I-2.22 (sin)
     a, t = p["a"], p["t"]
+    q = 0.25 * a * a
+    trig = np.sin if odd else np.cos
 
     def fn(y):
         w = 1 + y * y
-        return (y * w ** -0.5 * bessel_i_vec(0, 0.25 * a * a * y / w)
-                * (np.sin if odd else np.cos)(0.25 * a * a / w) * bessel_j_vec(0, t * y))
+        return y * w ** -0.5 * bessel_i_vec(0, q * y / w) * trig(q / w) * bessel_j_vec(0, t * y)
 
-    osc = OscillationDescriptor(math.pi / t, 2.405 / t)
-    return integrate_semiinf_oscillatory(fn, 0.0, osc, tol, max_cells=b.max_cells,
-                                         max_evals=b.max_evals)
+    x0 = max(math.pi / t, 1.0)
+    phase = np.exp(1j * t * x0)
+
+    def fc(z):
+        w = 1 + z * z
+        u = q * z / w
+        return (z * w ** -0.5 * bessel_i_scaled_complex_vec(0, u) * np.exp(np.abs(u.real))
+                * trig(q / w) * bessel_h1_scaled_vec(0, t * z) * phase * np.exp(-t * z.imag))
+
+    return integrate_semiinf_oscillatory(fn, 0.0, x0, fc, t, tol, max_evals=b.max_evals)
 
 
 def _i219_lhs(p, b: Budgets, tol: float) -> EvalResult:
@@ -193,7 +215,7 @@ def _i219_lhs(p, b: Budgets, tol: float) -> EvalResult:
 
 
 def _i219_rhs(p, b: Budgets, tol: float) -> EvalResult:
-    return _i219_rhs_core(p, b, tol, odd=False, first_zero=0.5 * math.pi / p["t"])
+    return _i219_rhs_core(p, b, tol, odd=False)
 
 
 def _i220_lhs(p, b: Budgets, tol: float) -> EvalResult:
@@ -201,7 +223,7 @@ def _i220_lhs(p, b: Budgets, tol: float) -> EvalResult:
 
 
 def _i220_rhs(p, b: Budgets, tol: float) -> EvalResult:
-    return _i219_rhs_core(p, b, tol, odd=True, first_zero=math.pi / p["t"])
+    return _i219_rhs_core(p, b, tol, odd=True)
 
 
 def _i221_lhs(p, b: Budgets, tol: float) -> EvalResult:

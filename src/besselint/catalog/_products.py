@@ -9,13 +9,12 @@ import math
 import numpy as np
 
 from .. import series as se
-from ..specfun import (EvalResult, bessel_h1_scaled_vec, bessel_i, bessel_i_scaled_vec,
-                       bessel_i_vec, bessel_j, bessel_j_scaled_vec, bessel_j_vec, bessel_k,
-                       bessel_k_scaled_vec, closed_form, gamma, hyp0f1, hyp0f3, hyp0f3_vec,
-                       hyp2f1, product, scaled)
-from ..quad import (EndpointSingularity, Integrand, OscillationDescriptor,
-                    integrate_finite, integrate_semiinf_decaying,
-                    integrate_semiinf_oscillatory, integrate_semiinf_ray)
+from ..specfun import (EvalResult, bessel_h1_scaled_vec, bessel_i, bessel_i_scaled_complex_vec,
+                       bessel_i_scaled_vec, bessel_i_vec, bessel_j, bessel_j_scaled_vec,
+                       bessel_j_vec, bessel_k, bessel_k_scaled_vec, closed_form, gamma, hyp0f1,
+                       hyp0f3, hyp0f3_vec, hyp2f1, product, scaled)
+from ..quad import (EndpointSingularity, Integrand, integrate_finite,
+                    integrate_semiinf_decaying, integrate_semiinf_oscillatory)
 from ._records import _M, Budgets, Constraint, IdentityRecord, ParamSpace
 
 
@@ -28,11 +27,6 @@ def _on_unit_interval(f, g: float, ends: tuple[float, ...]) -> Integrand:
 
     return Integrand(lambda u: f(u, 1 - u * u),
                      singularities=tuple(EndpointSingularity(e, g, offset(e)) for e in ends))
-
-
-def _first_j_zero(nu: float, t: float) -> float:
-    # crude McMahon-style estimate; cells only need the right scale
-    return (max(nu, 0.0) / 2.0 + 0.75) * math.pi / t
 
 
 # ----------------------------------------------------------------------
@@ -175,8 +169,8 @@ def _i27_lhs(p, b: Budgets, tol: float) -> EvalResult:
 
     gpow = mu + nu - s
     hints = (EndpointSingularity(0.0, gpow),) if gpow < 0.0 else ()
-    return integrate_semiinf_ray(Integrand(fn, singularities=hints), 0.0, x0, fc, a - bb, tol,
-                                 max_evals=b.max_evals)
+    return integrate_semiinf_oscillatory(Integrand(fn, singularities=hints), 0.0, x0, fc,
+                                         a - bb, tol, max_evals=b.max_evals)
 
 
 def _i27_rhs(p, b: Budgets, tol: float) -> EvalResult:
@@ -329,8 +323,23 @@ def _i211_rhs(p, b: Budgets, tol: float) -> EvalResult:
         return (y / w * bessel_j_vec(nu, t * y) * bessel_j_vec(mu, 4 * a / w)
                 * bessel_i_vec(nu, 4 * a * y / w))
 
-    osc = OscillationDescriptor(math.pi / t, _first_j_zero(nu, t))
-    r = integrate_semiinf_oscillatory(fn, 0.0, osc, tol, max_cells=b.max_cells,
+    # past x0 = max(pi/t, 1), J_nu(ty) = Re H1_nu(ty) decays up the ray x0 + iy;
+    # the other factors continue to Re z >= 1, where |1 + z^2| >= 1 keeps their
+    # essential singularities at z = +-i out of reach and their arguments
+    # bounded, so the scaled kernels take back their exponentials
+    x0 = max(math.pi / t, 1.0)
+    phase = np.exp(1j * t * x0)
+
+    def fc(z):
+        w = 1 + z * z
+        u, v = 4 * a / w, 4 * a * z / w
+        return (z / w * bessel_h1_scaled_vec(nu, t * z) * phase * np.exp(-t * z.imag)
+                * bessel_j_scaled_vec(mu, u) * np.exp(np.abs(u.imag))
+                * bessel_i_scaled_complex_vec(nu, v) * np.exp(np.abs(v.real)))
+
+    # y J_nu(ty) I_nu(4ay/(1+y^2)) ~ y^(2nu+1) at 0
+    hints = (EndpointSingularity(0.0, 2 * nu + 1),) if nu < 0.0 else ()
+    r = integrate_semiinf_oscillatory(Integrand(fn, singularities=hints), 0.0, x0, fc, t, tol,
                                       max_evals=b.max_evals)
     pref = gamma(mu + 1) * gamma(nu + 1) * gamma(mu + nu + 1)
     return scaled(r, pref)
@@ -362,7 +371,6 @@ I_2_11 = IdentityRecord(
     lhs=_i211_lhs, rhs=_i211_rhs,
     lhs_route="closed-form", rhs_route="quadrature:oscillatory",
     difficulty="oscillatory",
-    watch=True,
 )
 
 
@@ -392,8 +400,8 @@ def _i212_rhs(p, b: Budgets, tol: float) -> EvalResult:
 
     # y^(nu+1) J_nu(ty) ~ y^(2nu+1) at 0
     hints = (EndpointSingularity(0.0, 2 * nu + 1),) if nu < 0.0 else ()
-    r = integrate_semiinf_ray(Integrand(fn, singularities=hints), 0.0, x0, fc, t, tol,
-                              max_evals=b.max_evals)
+    r = integrate_semiinf_oscillatory(Integrand(fn, singularities=hints), 0.0, x0, fc, t, tol,
+                                      max_evals=b.max_evals)
     pref = gamma(mu + nu + 1)
     return scaled(r, pref)
 

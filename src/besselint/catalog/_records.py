@@ -47,7 +47,6 @@ class Budgets:
     """Evaluation budgets threaded from the CLI into the evaluators."""
 
     max_terms: int = 10_000
-    max_cells: int = 200
     max_evals: int = 1_000_000
 
 

@@ -108,9 +108,6 @@ def _build_parser() -> _Parser:
                     help="term budget of each series, 0F1/0F3 inside integrands "
                          "too; the series sides of I-3.8 and I-3.19 take at most "
                          "300, of I-2.30 and I-2.35 at most 500 (default: %(default)s)")
-    vp.add_argument("--max-cells", type=int, default=200,
-                    help="epsilon-table cells of the oscillatory tails of I-2.11 "
-                         "and I-2.19 .. I-2.22 (default: %(default)s)")
 
     ep = sub.add_parser("eval", help="evaluate one kernel or series function")
     ep.add_argument("function", help="e.g. bessel_k, hyp0f3, weber_triple")
@@ -229,15 +226,14 @@ def _report_csv(report: catalog.Report) -> str:
 
 def _cmd_verify(args) -> int:
     fmt = "json" if args.json else args.format
-    budgets = Budgets(max_terms=args.max_terms, max_cells=args.max_cells)
+    budgets = Budgets(max_terms=args.max_terms)
     if args.tol is not None and args.tol <= 0.0:
         print("besselint: error: --tol must be > 0", file=sys.stderr)
         return EXIT_BADFLAGS
     if not args.abs_floor > 0.0:
         print("besselint: error: --abs-floor must be > 0", file=sys.stderr)
         return EXIT_BADFLAGS
-    for flag, value in (("--jobs", args.jobs), ("--max-terms", args.max_terms),
-                        ("--max-cells", args.max_cells)):
+    for flag, value in (("--jobs", args.jobs), ("--max-terms", args.max_terms)):
         if value < 1:
             print(f"besselint: error: {flag} must be >= 1", file=sys.stderr)
             return EXIT_BADFLAGS

@@ -1,6 +1,6 @@
 """Numerical integration engines.
 
-Four entry points, all returning :class:`~besselint.specfun.EvalResult`:
+Three entry points, all returning :class:`~besselint.specfun.EvalResult`:
 
 * :func:`integrate_finite` -- adaptive Gauss-Kronrod (G7/K15) quadrature
   with declared-endpoint-singularity transforms, refined in rounds: each
@@ -18,29 +18,24 @@ Four entry points, all returning :class:`~besselint.specfun.EvalResult`:
   analytic tail bound, and a finite extension only where the bound asks
   for one;
 * :func:`integrate_semiinf_oscillatory` -- conditionally convergent
-  oscillatory tails by partition-extrapolation: integrate cell by cell
-  between kernel sign-change clusters and accelerate the partial sums
-  with Wynn's epsilon algorithm.  After the first cell, the first
-  refinement round of a block of cells takes one integrand call;
-* :func:`integrate_semiinf_ray` -- oscillatory integrals over [a, oo)
-  whose continuation into the upper half-plane decays: the finite engine
-  on the head [a, x0], then the tail up the vertical ray x0 + iy, where
-  it neither oscillates nor decays slower than exp(-rate*y), by the
-  decaying engine.
+  oscillatory integrals over [a, oo) whose continuation into the upper
+  half-plane decays: the finite engine on the head [a, x0], then the tail
+  up the vertical ray x0 + iy, where it neither oscillates nor decays
+  slower than exp(-rate*y), by the decaying engine.
 
 Each engine takes the integrand and the interval start, then what it
 needs to know of the integrand's behaviour (the interval end, the decay
-rate, an :class:`OscillationDescriptor`, or the ray's foot, the
-continuation and its decay rate), then the relative tolerance,
-and spends at most ``max_evals`` integrand nodes.  Integrands are
-vectorized callables ``f(x: float64 array) -> array`` that return one
-value per node, in the shape of ``x``; wrap one in :class:`Integrand` to
-declare endpoint singularities.
+rate, or the ray's foot, the continuation and its decay rate), then the
+relative tolerance, and spends at most ``max_evals`` integrand nodes.
+Integrands are vectorized callables ``f(x: float64 array) -> array`` that
+return one value per node, in the shape of ``x``; wrap one in
+:class:`Integrand` to declare endpoint singularities.
 Singularity handling is hint-driven (never auto-detected): a declared
 endpoint behaviour ``|x - e|**gamma`` is divided out pointwise and the
 exact power restored under a ``u = e -+ s**p`` substitution, which keeps
 the factor accurate even when ``u`` rounds onto the endpoint or comes
-nearer to it than f can be evaluated.
+nearer to it than f can be evaluated.  :func:`epsilon_extrapolate`
+accelerates a sequence of partial sums with Wynn's epsilon table.
 """
 
 from __future__ import annotations
@@ -56,12 +51,10 @@ from .specfun import DomainError, EvalResult
 
 __all__ = [
     "EndpointSingularity",
-    "OscillationDescriptor",
     "Integrand",
     "integrate_finite",
     "integrate_semiinf_decaying",
     "integrate_semiinf_oscillatory",
-    "integrate_semiinf_ray",
     "epsilon_extrapolate",
 ]
 
@@ -95,19 +88,6 @@ class EndpointSingularity:
     location: float
     exponent: float
     offset_fn: Callable[[np.ndarray], np.ndarray] | None = None
-
-
-@dataclass(frozen=True)
-class OscillationDescriptor:
-    """Asymptotic spacing of kernel sign-change clusters.
-
-    ``asymptotic_period`` is e.g. pi/t for a cos(t*y) kernel, or the
-    asymptotic zero spacing of a Bessel kernel.  ``first_zero_estimate``
-    marks where the first cell should end; it need not be precise.
-    """
-
-    asymptotic_period: float
-    first_zero_estimate: float | None = None
 
 
 @dataclass(frozen=True)
@@ -561,9 +541,10 @@ def integrate_semiinf_decaying(f, a: float, rate: float, tol: float, *,
 # semi-infinite oscillatory along a vertical ray
 # ----------------------------------------------------------------------
 
-def integrate_semiinf_ray(f, a: float, x0: float, fc: Callable[[np.ndarray], np.ndarray],
-                          rate: float, tol: float, *,
-                          max_evals: int = 1_000_000) -> EvalResult:
+def integrate_semiinf_oscillatory(f, a: float, x0: float,
+                                  fc: Callable[[np.ndarray], np.ndarray],
+                                  rate: float, tol: float, *,
+                                  max_evals: int = 1_000_000) -> EvalResult:
     """Integrate an oscillatory f over [a, oo) as a real head plus a decaying ray.
 
     ``fc`` is the continuation of f into the quarter-plane Re z >= x0,
@@ -585,7 +566,7 @@ def integrate_semiinf_ray(f, a: float, x0: float, fc: Callable[[np.ndarray], np.
     """
     a, x0 = float(a), float(x0)
     if not (a < x0):
-        raise DomainError(f"integrate_semiinf_ray: requires a < x0, got a={a!r}, x0={x0!r}")
+        raise DomainError(f"integrate_semiinf_oscillatory: requires a < x0, got a={a!r}, x0={x0!r}")
 
     def tail_fn(y: np.ndarray) -> np.ndarray:
         return -np.asarray(fc(x0 + 1j * y)).imag
@@ -606,31 +587,26 @@ def integrate_semiinf_ray(f, a: float, x0: float, fc: Callable[[np.ndarray], np.
 _HUGE = 1e305
 
 
-def _eps_step(diag: list[float], s: float) -> list[float]:
-    """Append the partial sum s to Wynn's epsilon table.
+def _eps_corners(partial_sums: Sequence[float]) -> list[float]:
+    """Last entry of each even epsilon-table column, in column order.
 
-    ``diag[k]`` is the last entry of column k; the returned list is the
-    table's new anti-diagonal, one entry longer.  Each entry comes from
-    the rhombus rule with the already-converged entry propagated where a
+    Each partial sum adds one anti-diagonal to Wynn's epsilon table;
+    ``diag[k]`` is the last entry of column k.  Each entry comes from the
+    rhombus rule with the already-converged entry propagated where a
     denominator vanishes.
     """
-    new = [s]
-    for k in range(1, len(diag) + 1):
-        d = new[k - 1] - diag[k - 1]
-        base = diag[k - 2] if k >= 2 else 0.0
-        if d == 0.0 or not math.isfinite(d):
-            new.append(base if k % 2 == 0 else _HUGE)
-        else:
-            nxt = base + 1.0 / d
-            new.append(nxt if math.isfinite(nxt) else (_HUGE if k % 2 else base))
-    return new
-
-
-def _eps_corners(partial_sums: Sequence[float]) -> list[float]:
-    """Last entry of each even epsilon-table column, in column order."""
     diag: list[float] = []
     for v in partial_sums:
-        diag = _eps_step(diag, float(v))
+        new = [float(v)]
+        for k in range(1, len(diag) + 1):
+            d = new[k - 1] - diag[k - 1]
+            base = diag[k - 2] if k >= 2 else 0.0
+            if d == 0.0 or not math.isfinite(d):
+                new.append(base if k % 2 == 0 else _HUGE)
+            else:
+                nxt = base + 1.0 / d
+                new.append(nxt if math.isfinite(nxt) else (_HUGE if k % 2 else base))
+        diag = new
     if len(diag) < 3:
         raise DomainError("epsilon_extrapolate: need at least 3 partial sums")
     return diag[::2]
@@ -658,152 +634,3 @@ def epsilon_extrapolate(partial_sums: Sequence[float]) -> EvalResult:
             if math.isfinite(cand) and abs(cand - c2) < abs(c2 - c1):
                 value = cand
     return EvalResult(value, err, True, len(list(partial_sums)))
-
-
-# ----------------------------------------------------------------------
-# semi-infinite oscillatory by partition-extrapolation
-# ----------------------------------------------------------------------
-
-# Relative tolerance of each cell, far below what the catalog asks of the
-# engine at its default tolerances, so that the extrapolation, not the
-# cells, limits the accuracy of the sum.
-_CELL_TOL = 1e-13
-
-# Cells after the first whose first refinement round shares one integrand call.
-_BLOCK = 8
-
-
-def _first_rounds(f: Integrand, lo: float, hi: float, period: float, n: int,
-                  abs_floor: float) -> tuple[list, int]:
-    """integrate_finite's first round on the next n cells, in one call of f.
-
-    The cells run from [lo, hi] along the ``hi + period`` chain, each on
-    the two-interval grid ``integrate_finite(..., initial_intervals=2)``
-    lays on it.  Returns, per cell, the EvalResult that integrate_finite
-    would return after that round to ``_CELL_TOL``, or None where it would
-    refine further, where the cell holds a declared singularity, or for
-    every cell when f failed on the block (a non-finite value, a wrong
-    shape, or an ArithmeticError or ValueError such as a DomainError):
-    such a cell must be integrated on its own.
-    Also returns the nodes spent.
-    """
-    cells = []
-    for _ in range(n):
-        cells.append((lo, hi))
-        lo, hi = hi, hi + period
-    if f.singularities:
-        plain = [j for j, c in enumerate(cells) if _split_pieces(f, *c) == [(f.fn, *c)]]
-    else:
-        plain = list(range(n))
-    out: list = [None] * n
-    if not plain:
-        return out, 0
-    los, his = np.array([cells[j] for j in plain]).T
-    mids = los + (his - los) / 2
-    try:
-        vals, errs, note = _gk15(f.fn, np.column_stack((los, mids)).ravel(),
-                                 np.column_stack((mids, his)).ravel())
-    except (ArithmeticError, ValueError):
-        # the block reaches past the cell the run may stop at: each cell
-        # integrated on its own then raises where it would unblocked
-        note = "raised"
-    if note:
-        return out, 30 * len(plain)
-    for j, v0, v1, e0, e1 in zip(plain, vals[::2], vals[1::2], errs[::2], errs[1::2]):
-        total, err = math.fsum((v0, v1)), math.fsum((e0, e1))
-        if err <= max(_CELL_TOL * abs(total), abs_floor) and not math.isinf(err):
-            out[j] = EvalResult(total, err, True, 30)
-    return out, 30 * len(plain)
-
-
-def integrate_semiinf_oscillatory(f, a: float, osc: OscillationDescriptor,
-                                  tol: float, *,
-                                  abs_floor: float = 1e-15,
-                                  max_cells: int = 200,
-                                  max_evals: int = 1_000_000) -> EvalResult:
-    """Integrate an eventually-oscillatory integrand over [a, oo).
-
-    Cells of one asymptotic period are integrated with the finite engine
-    to ``_CELL_TOL``; the partial-sum sequence is extrapolated after each
-    new cell and the run stops once two successive extrapolants agree
-    within tol*scale.  After the first cell, the first refinement round
-    of the next ``_BLOCK`` cells is evaluated in one call of f (many
-    panels per call, Shampine 2008) and each cell is judged in order by
-    the finite engine's first-round test; a cell that misses it, holds a
-    declared singularity, or sits in a block on which f failed goes
-    through the finite engine on its own, as if unblocked.  A run may
-    therefore spend up to ``_BLOCK - 1`` cells past the one it stops at.
-    A converged run reports the error estimate of QUADPACK's ``qelg``
-    (Piessens et al. 1983): the sum of the distances
-    from the returned extrapolant to the (up to) three before it, plus
-    the cells' errors; the single distance the stopping rule tests can
-    understate the error several times over.  A block is charged its
-    nodes before it is evaluated and is cut short to fit, and each cell
-    integrated on its own may spend what was left of ``max_evals``.  The
-    first cell that does not converge ends the run unconverged, with the
-    partial sum, an infinite error estimate and that cell's note.
-    """
-    if not isinstance(osc, OscillationDescriptor):
-        raise DomainError(
-            "integrate_semiinf_oscillatory: an OscillationDescriptor is required"
-        )
-    f = _as_integrand(f)
-    period = float(osc.asymptotic_period)
-    if not (period > 0.0 and math.isfinite(period)):
-        raise DomainError(f"oscillatory: asymptotic_period must be finite > 0, got {period!r}")
-    a = float(a)
-    first = osc.first_zero_estimate
-    edge = max(a + 0.25 * period, float(first)) if first is not None else a + period
-
-    diag: list[float] = []  # last anti-diagonal of the epsilon table
-    running = 0.0
-    cell_err = 0.0
-    evals = 0
-    extraps: list[float] = []  # the extrapolants so far, oldest first
-    hits = 0
-    best = None
-    best_err = math.inf
-    cell_floor = abs_floor
-    lo = a
-    hi = edge
-    ahead: list = []  # block results of the cells after this one
-    for k in range(int(max_cells)):
-        if k and not ahead:
-            n = min(_BLOCK, int(max_cells) - k, (max_evals - evals) // 30)
-            ahead, spent = _first_rounds(f, lo, hi, period, n, cell_floor)
-            evals += spent
-        r = ahead.pop(0) if ahead else None
-        if r is None:
-            r = integrate_finite(f, lo, hi, _CELL_TOL,
-                                 abs_floor=cell_floor,
-                                 max_evals=max_evals - evals,
-                                 initial_intervals=2)
-            evals += r.terms_or_nodes_used
-        running += r.value
-        if not r.converged:
-            return EvalResult(running, math.inf, False, evals, note=r.note)
-        cell_err += r.abs_err_est
-        diag = _eps_step(diag, running)
-        if k == 0:
-            cell_floor = max(abs_floor, 1e-3 * tol * abs(running))
-        if k >= 2:
-            corner = diag[2 * (k // 2)]
-            if extraps:
-                scale = max(abs(corner), abs_floor / max(tol, _EPS))
-                diff = abs(corner - extraps[-1])
-                if diff <= tol * scale:
-                    hits += 1
-                    if hits >= 2:
-                        spread = math.fsum(abs(corner - e) for e in extraps[-3:])
-                        return EvalResult(corner, spread + cell_err + _EPS * abs(corner),
-                                          True, evals)
-                else:
-                    hits = 0
-                if diff < best_err:
-                    best, best_err = corner, diff
-            extraps.append(corner)
-        lo, hi = hi, hi + period
-    value = best if best is not None else (extraps[-1] if extraps else running)
-    return EvalResult(value, best_err + cell_err if math.isfinite(best_err) else math.inf,
-                      False, evals,
-                      note=f"oscillatory extrapolation stagnated after {max_cells} cells")

@@ -15,9 +15,10 @@ operations and hand them to that loop one by one: the Gauss sum takes a
 block of terms from one convolution of the two Bessel power series'
 longdouble coefficient runs (their Cauchy product), and the 0F1 product
 takes the inner 0F1 of a block of terms from one call of the vector
-0F1/0F3 summer.  The 0F1 product, like the scalar 0F1, comes back
-unconverged when an inner 0F1 did not converge or its error estimate
-exceeds its value.
+0F1/0F3 summer.  The Gauss sum and the 0F1 product, like the scalar
+0F1, come back unconverged when their error estimate exceeds their value
+(``specfun._flag_cancelled``); the 0F1 product also when an inner 0F1 did
+not converge.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from typing import Callable
 import numpy as np
 from scipy import special as _sp
 
-from .specfun import DomainError, EvalResult, _hyp0fq_vec, _sum_series, log_gamma, scaled
+from .specfun import (DomainError, EvalResult, _flag_cancelled, _hyp0fq_vec, _sum_series,
+                      log_gamma, scaled)
 
 __all__ = [
     "TripleParams",
@@ -104,6 +106,8 @@ def product_jj_gauss(mu: float, nu: float, a: float, b: float, x: float,
     The outer sum cancels like exp(2 b x) while the result stays O(1),
     so the coefficients, the terms and the sum are held in extended
     precision (longdouble) to hold the 1e-8 agreement window out to a x ~ 10.
+    Further out, once the cancellation leaves no correct digit (an error
+    estimate above the value), the result is reported unconverged.
     """
     mu, nu, a, b, x = float(mu), float(nu), float(a), float(b), float(x)
     if not (0.0 < b <= a):
@@ -143,7 +147,8 @@ def product_jj_gauss(mu: float, nu: float, a: float, b: float, x: float,
     # good to about 6.3 eps*max(1, |value|) against mpmath, and 2 eps more
     # cover exp and rounding the longdouble sum to binary64
     rel = _EPS * (2.0 + 8.0 * sum(max(1.0, abs(t)) for t in parts))
-    return scaled(_sum_series(terms(), max_terms, "product_jj_gauss"), pref, rel)
+    return _flag_cancelled(scaled(_sum_series(terms(), max_terms, "product_jj_gauss"), pref, rel),
+                           "product_jj_gauss")
 
 
 def product_jj_neumann(nu: float, a: float, b: float, x: float,
@@ -217,16 +222,10 @@ def hyp0f1_product(c: float, x: float, y: float, max_terms: int = 500) -> EvalRe
             r0, n = r0 + n, 2 * n
 
     outer = _sum_series(terms(), max_terms, "hyp0f1_product")
-    err = outer.abs_err_est + inner_err
-    if not outer.converged:
-        note = outer.note
-    elif not inner_ok:
-        note = "hyp0f1_product: an inner 0F1 did not converge"
-    elif err > abs(outer.value):
-        note = f"hyp0f1_product: cancellation left no correct digit (error estimate {err:.1e})"
-    else:
-        note = ""
-    return EvalResult(outer.value, err, not note, outer.terms_or_nodes_used + inner_terms, note)
+    note = outer.note or ("" if inner_ok else "hyp0f1_product: an inner 0F1 did not converge")
+    return _flag_cancelled(EvalResult(outer.value, outer.abs_err_est + inner_err, not note,
+                                      outer.terms_or_nodes_used + inner_terms, note),
+                           "hyp0f1_product")
 
 
 # ----------------------------------------------------------------------

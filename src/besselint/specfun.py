@@ -15,15 +15,16 @@ a scalar order 0, 1 or -1 takes scipy's order-specific Cephes routine
 ``k1e``; Moshier 1989), every other order the general AMOS routine (Amos,
 ACM TOMS 644).  Cephes is 7-23x cheaper per point; its J/Y phase error
 grows with x (at most 140 eps * sqrt(J^2 + Y^2) up to x = 1000, against 9
-for AMOS), its I and scaled I/K stay within 6 eps relative.  Two more
+for AMOS), its I and scaled I/K stay within 6 eps relative.  Three more
 entries take complex arrays, for integrands continued up a ray in the
-upper half-plane: the scaled H1 (``hankel1e``) and J (``jve``).  Only the
-0F1/0F3 series are summed here directly.  A scalar 0F1/0F3 is a term
-recurrence on Python floats summed by :func:`_sum_series`, the one
-compensated loop of every scalar series (``besselint.series`` imports it):
-it stops after three negligible terms in a row and tracks cancellation in
-its error estimate.  A scalar 0F1/0F3 whose error estimate exceeds its
-value has no correct digit left and is reported unconverged.  The vector
+upper half-plane: the scaled H1 (``hankel1e``), J (``jve``) and I
+(``ive``).  Only the 0F1/0F3 series are summed here directly.  A scalar
+0F1/0F3 is a term recurrence on Python floats summed by
+:func:`_sum_series`, the one compensated loop of every scalar series
+(``besselint.series`` imports it): it stops after three negligible terms
+in a row and tracks cancellation in its error estimate.  A scalar
+0F1/0F3 whose error estimate exceeds its value has no correct digit left
+and is reported unconverged.  The vector
 0F1/0F3 (``hyp0f1_vec``, ``hyp0f3_vec``) sum one block of 16 terms per
 numpy pass over the whole argument array, with compensated summation of
 the block sums and the same stopping rule checked on each block's last
@@ -69,6 +70,7 @@ __all__ = [
     "bessel_k_scaled_vec",
     "bessel_h1_scaled_vec",
     "bessel_j_scaled_vec",
+    "bessel_i_scaled_complex_vec",
     "kelvin_ber",
     "kelvin_bei",
     "kelvin_vec",
@@ -352,6 +354,11 @@ def bessel_j_scaled_vec(nu: float, z: np.ndarray) -> np.ndarray:
     return _sp.jve(nu, z)
 
 
+def bessel_i_scaled_complex_vec(nu: float, z: np.ndarray) -> np.ndarray:
+    """I_nu(z) * exp(-|Re z|) over a complex array (AMOS ``ive``)."""
+    return _sp.ive(nu, z)
+
+
 # ----------------------------------------------------------------------
 # Kelvin functions of general real order
 # ----------------------------------------------------------------------
@@ -560,6 +567,18 @@ def _sum_series(terms: Iterable[tuple], max_terms: int, who: str) -> EvalResult:
     return EvalResult(float(total), err, not note, n, note)
 
 
+def _flag_cancelled(r: EvalResult, who: str) -> EvalResult:
+    """r, reported unconverged when its error estimate exceeds its value.
+
+    Such a series has cancelled past its working precision: no digit of the
+    value is correct, however well the stopping rule was met.
+    """
+    if r.converged and r.abs_err_est > abs(r.value):
+        note = f"{who}: cancellation left no correct digit (error estimate {r.abs_err_est:.1e})"
+        return EvalResult(r.value, r.abs_err_est, False, r.terms_or_nodes_used, note)
+    return r
+
+
 def _hyp0fq_terms(bs: tuple[float, ...], z: float):
     # t_0 = 1, t_{k+1} = t_k * z / ((k+1) prod(b+k)), the recurrence of
     # _hyp0fq_vec with its denominator multiplied in the same order
@@ -578,11 +597,8 @@ def _hyp0fq_scalar(bs, z: float, max_terms: int, who: str) -> EvalResult:
     z = float(z)
     if z < -1e6:
         raise DomainError(f"{who}: z={z!r} below the supported window z >= -1e6")
-    r = _sum_series(_hyp0fq_terms(tuple(map(float, bs)), z), max_terms, who)
-    if r.converged and r.abs_err_est > abs(r.value):
-        note = f"{who}: cancellation left no correct digit (error estimate {r.abs_err_est:.1e})"
-        return EvalResult(r.value, r.abs_err_est, False, r.terms_or_nodes_used, note)
-    return r
+    return _flag_cancelled(_sum_series(_hyp0fq_terms(tuple(map(float, bs)), z), max_terms, who),
+                           who)
 
 
 def hyp0f1(c: float, z: float, max_terms: int = 10000) -> EvalResult:

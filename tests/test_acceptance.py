@@ -181,7 +181,7 @@ def test_criterion_10_verify_all():
     ratio_noted = all("ratio" in e.note or "converge" in e.note
                       for e in rep.entries if e.status == "inconclusive")
     ok = (s["fail"] == 0
-          and inconclusive_ids <= {"I-2.11", "I-3.21"}
+          and inconclusive_ids <= {"I-3.21"}
           and ratio_noted)
     _check("criterion 10: full verify-all run, zero fails, watch-only inconclusives",
            ok, elapsed, 300.0,

@@ -221,6 +221,37 @@ def test_i27_left_side_within_its_estimate_against_mpmath():
         assert abs(lhs.value - want) <= lhs.abs_err_est, (p, lhs.value, want)
 
 
+def _ray_kelvin_points():
+    # the Sonine-Gegenbauer inversion and the inverse Kelvin sides, whose
+    # tails run up a ray at rate t: every grid point copied 6 times with
+    # each nonzero parameter scaled by exp(U(-0.7, 0.7)) (redrawn where a
+    # constraint fails), then a stress grid of a up to 6 and t from 0.2 to 8
+    rng = np.random.default_rng(5)
+    points = []
+    for ident in ("I-2.11", "I-2.19", "I-2.20", "I-2.21", "I-2.22"):
+        space = catalog.get_identity(ident).space
+        for base in space.grid():
+            for _ in range(6):
+                p = None
+                while p is None or space.violated(p) is not None:
+                    p = {k: v * math.exp(rng.uniform(-0.7, 0.7)) if v else v
+                         for k, v in base.items()}
+                points.append((ident, p))
+        extra = {"mu": 0.5, "nu": 0.5} if ident == "I-2.11" else {}
+        for a in (0.3, 2.0, 6.0):
+            for t in (0.2, 1.0, 8.0):
+                points.append((ident, {**extra, "a": a, "t": t}))
+    return points
+
+
+def test_ray_kelvin_sides_pass_off_grid_within_their_bars():
+    # every point passes, and its error bars cover the disagreement
+    for ident, p in _ray_kelvin_points():
+        r = catalog.verify(ident, p)
+        assert r.status == "pass", (ident, p, r.note)
+        assert r.abs_diff <= r.lhs.abs_err_est + r.rhs.abs_err_est, (ident, p)
+
+
 @pytest.mark.parametrize("nu", [-0.81, -0.84, -0.95])
 def test_i212_declares_its_endpoint_power(nu):
     # y^(nu+1) J_nu(ty) ~ y^(2nu+1) at 0: unhinted, these points stalled
@@ -315,14 +346,14 @@ def test_watch_identity_reports_ratio():
 
 
 # node budget per identity; I-2.7 (about 425 nodes at its hard point) and
-# I-2.19 (about 675) are given less than they need
-_NODE_BUDGETS = {"I-2.25": 2000, "I-2.31": 2000, "I-2.7": 200, "I-2.19": 300}
+# I-2.19 (about 260) are given less than they need
+_NODE_BUDGETS = {"I-2.25": 2000, "I-2.31": 2000, "I-2.7": 200, "I-2.19": 150}
 
 
 @pytest.mark.parametrize("identity", list(_NODE_BUDGETS))
 def test_node_budget_is_hard_on_every_route(identity):
-    # one identity per quadrature engine: finite, decaying, the ray (I-2.7)
-    # and the epsilon-extrapolated cells (I-2.19)
+    # one identity per quadrature engine: finite, decaying and the ray
+    # (I-2.7, and I-2.19 of the Kelvin family)
     rec = catalog.get_identity(identity)
     max_evals = _NODE_BUDGETS[identity]
     r = catalog.verify(identity, rec.space.hard_points[0], budgets=Budgets(max_evals=max_evals))
@@ -334,11 +365,12 @@ def test_node_budget_is_hard_on_every_route(identity):
 
 
 def test_forced_nonconvergence_is_inconclusive():
-    budgets = Budgets(max_cells=4)
+    # the oscillatory side needs about 245 nodes at this point
+    budgets = Budgets(max_evals=100)
     r = catalog.verify("I-2.19", catalog.get_identity("I-2.19").space.default_grid[0],
                        budgets=budgets)
     assert r.status == "inconclusive"
-    assert "converge" in r.note and "stagnated after 4 cells" in r.note
+    assert "converge" in r.note and "node budget exhausted" in r.note
 
 
 # ----------------------------------------------------------------------

@@ -111,8 +111,8 @@ def test_verify_bad_flags_exit3(capsys):
     assert code == 3
     code, _, err = run(capsys, ["verify", "I-2.32", "--jobs", "0"])
     assert code == 3
-    # a term or cell budget below 1 would leave every point inconclusive
-    for flag, value in (("--max-terms", "-5"), ("--max-terms", "0"), ("--max-cells", "0")):
+    # a term budget below 1 would leave every point inconclusive
+    for flag, value in (("--max-terms", "-5"), ("--max-terms", "0")):
         code, out, err = run(capsys, ["verify", "I-2.7", flag, value])
         assert code == 3 and out == "" and f"{flag} must be >= 1" in err
     code, _, err = run(capsys, ["verify", "I-2.32", "--abs-floor", "0"])
@@ -157,12 +157,12 @@ def test_unconverged_kernel_is_inconclusive_not_fail(capsys):
 
 
 def test_verify_strict_inconclusive(capsys):
-    # forced non-convergence via a tiny cell budget: inconclusive entries
+    # forced non-convergence via a tiny term budget: inconclusive entries
     # exit 0 with a warning unless --strict
-    code, out, _ = run(capsys, ["verify", "I-2.19", "--max-cells", "4"])
+    code, out, _ = run(capsys, ["verify", "I-2.4", "--max-terms", "5"])
     assert code == 0
     assert "warning" in out and "inconclusive" in out
-    code, _, _ = run(capsys, ["verify", "I-2.19", "--max-cells", "4", "--strict"])
+    code, _, _ = run(capsys, ["verify", "I-2.4", "--max-terms", "5", "--strict"])
     assert code == 1
 
 

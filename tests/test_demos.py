@@ -33,7 +33,9 @@ def test_kernel_demo_runs():
 
 
 def test_quadrature_demo_runs():
-    assert "semi-infinite with exponential decay" in _run_demo("02_quadrature_engines.py")
+    out = _run_demo("02_quadrature_engines.py")
+    assert "semi-infinite with exponential decay" in out
+    assert "conditionally convergent oscillatory integrals" in out
 
 
 def test_product_series_demo_runs():

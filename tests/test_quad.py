@@ -6,10 +6,9 @@ import pytest
 from scipy import special as sp
 
 from besselint import quad
-from besselint.quad import (EndpointSingularity, Integrand,
-                            OscillationDescriptor, epsilon_extrapolate,
+from besselint.quad import (EndpointSingularity, Integrand, epsilon_extrapolate,
                             integrate_finite, integrate_semiinf_decaying,
-                            integrate_semiinf_oscillatory, integrate_semiinf_ray)
+                            integrate_semiinf_oscillatory)
 from besselint.specfun import DomainError
 
 import oracles
@@ -317,7 +316,7 @@ def _j0_on_ray(x0):
 def test_ray_unit_integrals(f, fc, want):
     # int_0^inf J_0(x) dx = 1 and int_0^inf sin(x)/x dx = pi/2, each tail
     # the decaying integral -int_0^inf Im F(pi + iy) dy
-    r = integrate_semiinf_ray(f, 0.0, math.pi, fc, 1.0, 1e-10)
+    r = integrate_semiinf_oscillatory(f, 0.0, math.pi, fc, 1.0, 1e-10)
     assert r.converged and r.note == ""
     assert abs(r.value - want) <= r.abs_err_est < 1e-9
     assert r.terms_or_nodes_used < 1000
@@ -326,7 +325,7 @@ def test_ray_unit_integrals(f, fc, want):
 def test_ray_node_budget_is_hard():
     # head and tail share max_evals; a budget the tail cannot meet is not converged
     for max_evals in (0, 20, 100):
-        r = integrate_semiinf_ray(sp.j0, 0.0, math.pi, _j0_on_ray(math.pi), 1.0, 1e-10,
+        r = integrate_semiinf_oscillatory(sp.j0, 0.0, math.pi, _j0_on_ray(math.pi), 1.0, 1e-10,
                                   max_evals=max_evals)
         assert not r.converged and "budget" in r.note, max_evals
         assert r.terms_or_nodes_used <= max_evals
@@ -336,122 +335,55 @@ def test_ray_nonfinite_continuation_is_unconverged():
     def nan_on_ray(z):
         return np.full(z.shape, complex(np.nan, np.nan))
 
-    r = integrate_semiinf_ray(sp.j0, 0.0, math.pi, nan_on_ray, 1.0, 1e-10)
-    assert not r.converged
-    assert math.isinf(r.abs_err_est)
-    assert r.note == "integrate_finite: non-finite integrand value"
+    def nan_in_head(x):
+        return np.where((x > 3.0) & (x < 3.2), np.nan, sp.j0(x))
+
+    for f, fc in ((sp.j0, nan_on_ray), (nan_in_head, _j0_on_ray(2 * math.pi))):
+        r = integrate_semiinf_oscillatory(f, 0.0, 2 * math.pi, fc, 1.0, 1e-10)
+        assert not r.converged
+        assert math.isinf(r.abs_err_est)
+        assert r.note == "integrate_finite: non-finite integrand value"
     with pytest.raises(DomainError):
-        integrate_semiinf_ray(sp.j0, 1.0, 1.0, _j0_on_ray(1.0), 1.0, 1e-10)
+        integrate_semiinf_oscillatory(sp.j0, 1.0, 1.0, _j0_on_ray(1.0), 1.0, 1e-10)
 
-
-# ----------------------------------------------------------------------
-# semi-infinite, oscillatory with partition-extrapolation
-# ----------------------------------------------------------------------
 
 def test_dirichlet_integral():
+    # the value does not depend on where the ray stands
     f = Integrand(lambda x: np.sinc(x / np.pi))
-    r = integrate_semiinf_oscillatory(f, 0.0, OscillationDescriptor(math.pi, math.pi),
-                                      1e-10)
-    assert r.converged
-    assert abs(r.value - 0.5 * math.pi) < 1e-9
+    for x0 in (1.0, math.pi, 10.0):
+        r = integrate_semiinf_oscillatory(f, 0.0, x0, lambda z: -1j * np.exp(1j * z) / z,
+                                          1.0, 1e-10)
+        assert r.converged
+        assert abs(r.value - 0.5 * math.pi) < 1e-9, x0
 
 
 def test_bessel_kernel_unit_integral():
     f = Integrand(lambda x: sp.jv(0, x))
-    r = integrate_semiinf_oscillatory(f, 0.0, OscillationDescriptor(math.pi, 2.405),
-                                      1e-10)
-    assert r.converged
-    assert abs(r.value - 1.0) < 1e-9
+    for x0 in (1.0, 2.405):
+        r = integrate_semiinf_oscillatory(f, 0.0, x0, _j0_on_ray(x0), 1.0, 1e-10)
+        assert r.converged
+        assert abs(r.value - 1.0) < 1e-9, x0
+
+
+def _hankel_k0_on_ray(x0):
+    # y J_0(y) / (1 + y^2) continued with H1_0; the poles at +-i lie off the ray
+    j0 = _j0_on_ray(x0)
+    return lambda z: z / (1 + z * z) * j0(z)
 
 
 def test_hankel_tail_matches_k0_oracle():
     # int_0^inf y J0(y)/(1+y^2) dy = K_0(1), target from the integral oracle
     want = oracles.bessel_k0_integral(1.0)
     f = Integrand(lambda y: y * sp.jv(0, y) / (1 + y * y))
-    r = integrate_semiinf_oscillatory(f, 0.0, OscillationDescriptor(math.pi, 2.405),
-                                      1e-8)
+    r = integrate_semiinf_oscillatory(f, 0.0, math.pi, _hankel_k0_on_ray(math.pi), 1.0, 1e-8)
     assert r.converged
     assert rel(r.value, want) < 1e-6
 
 
-def test_oscillation_descriptor_required():
-    with pytest.raises(DomainError):
-        integrate_semiinf_oscillatory(Integrand(lambda x: np.cos(x)), 0.0, None, 1e-8)
-
-
-def test_unconverged_cell_ends_oscillatory_run():
-    # sin(x)/x with NaN on (3, 3.2): the second cell fails, so must the integral
-    def f(x):
-        return np.where((x > 3.0) & (x < 3.2), np.nan, np.sinc(x / np.pi))
-
-    r = integrate_semiinf_oscillatory(f, 0.0, OscillationDescriptor(math.pi), 1e-8)
-    assert not r.converged
-    assert "non-finite" in r.note
-    assert math.isinf(r.abs_err_est)
-
-
-def test_oscillatory_cells_are_evaluated_in_blocks(monkeypatch):
-    # cells after the first share one integrand call per block of _BLOCK
-    block = quad._BLOCK
-    f, calls = counted(lambda x: np.sinc(x / np.pi))
-    osc = OscillationDescriptor(math.pi, math.pi)
-    r = integrate_semiinf_oscillatory(f, 0.0, osc, 1e-10)
-    blocked = calls[0]
-    f0, cell0 = counted(lambda x: np.sinc(x / np.pi))
-    integrate_finite(f0, 0.0, math.pi, quad._CELL_TOL, abs_floor=1e-15, initial_intervals=2)
-    monkeypatch.setattr(quad, "_BLOCK", 1)
-    calls[0] = 0
-    single = integrate_semiinf_oscillatory(f, 0.0, osc, 1e-10)
-    cells = calls[0] - cell0[0] + 1  # every cell after the first converges in one round
-    assert r.converged and single.converged
-    assert rel(r.value, single.value) < 1e-15
-    assert blocked <= math.ceil(cells / block) + cell0[0] < calls[0]
-
-
-def test_nonfinite_cell_inside_a_block_ends_run_as_unblocked(monkeypatch):
-    # NaN in the fourth cell, inside the first block: the run must end at
-    # that cell with the partial sum the one-cell-at-a-time run reaches
-    def f(x):
-        return np.where((x > 3.5 * np.pi) & (x < 3.6 * np.pi), np.nan, np.sinc(x / np.pi))
-
-    osc = OscillationDescriptor(math.pi, math.pi)
-    r = integrate_semiinf_oscillatory(f, 0.0, osc, 1e-8)
-    monkeypatch.setattr(quad, "_BLOCK", 1)
-    single = integrate_semiinf_oscillatory(f, 0.0, osc, 1e-8)
-    assert not r.converged and math.isinf(r.abs_err_est)
-    assert r.note == single.note == "integrate_finite: non-finite integrand value"
-    assert r.value == single.value
-    assert r.terms_or_nodes_used >= single.terms_or_nodes_used
-
-
-def test_block_past_the_last_cell_does_not_raise(monkeypatch):
-    # at tol 1e-8 the run stops at 13 pi, inside a block that reaches 17 pi;
-    # an integrand that raises past 13.5 pi must not end the run
-    def f(x):
-        if x.max() > 13.5 * np.pi:
-            raise DomainError("beyond the supported domain")
-        return np.sinc(x / np.pi)
-
-    osc = OscillationDescriptor(math.pi, math.pi)
-    r = integrate_semiinf_oscillatory(f, 0.0, osc, 1e-8)
-    monkeypatch.setattr(quad, "_BLOCK", 1)
-    single = integrate_semiinf_oscillatory(f, 0.0, osc, 1e-8)
-    assert r.converged and single.converged
-    assert rel(r.value, single.value) < 1e-15
-
-
-def test_first_cell_width_invariance():
-    f = Integrand(lambda y: y * sp.jv(0, y) / (1 + y * y))
-    r1 = integrate_semiinf_oscillatory(f, 0.0, OscillationDescriptor(math.pi, 2.405), 1e-9)
-    r2 = integrate_semiinf_oscillatory(f, 0.0, OscillationDescriptor(math.pi, 4.81), 1e-9)
-    assert abs(r1.value - r2.value) <= r1.abs_err_est + r2.abs_err_est
-
-
 def test_oscillatory_error_covers_weber_schafheitlin():
-    # int_0^inf x^-s J_mu(ax) J_nu(bx) dx against its 2F1 closed form: the
-    # reported error, the distances from the extrapolant to the three
-    # before it, must cover the true error; the distance to the previous
-    # one alone falls short by up to 100x on this sweep
+    # int_0^inf x^-s J_mu(ax) J_nu(bx) dx against its 2F1 closed form, with
+    # the tail continued as x^-s H1_mu(ax) J_nu(bx) at rate a - b: the
+    # reported error must cover the true error
     def closed(mu, nu, s, a, b):
         f21 = sp.hyp2f1(0.5 * (nu - mu - s + 1), 0.5 * (nu + mu - s + 1), nu + 1, (b / a) ** 2)
         return (f21 * 2.0 ** -s * b ** nu * a ** (s - nu - 1) * math.gamma(0.5 * (mu + nu - s + 1))
@@ -465,20 +397,16 @@ def test_oscillatory_error_covers_weber_schafheitlin():
             continue
         f = Integrand(lambda x: x ** -s * sp.jv(mu, a * x) * sp.jv(nu, b * x),
                       singularities=(EndpointSingularity(0.0, g),) if g < 0 else ())
-        per = math.pi / (a + b)
-        r = integrate_semiinf_oscillatory(f, 0.0, OscillationDescriptor(per, max(per, 2.4 / a)),
-                                          1e-8)
+        x0 = math.pi / a
+
+        def fc(z):
+            return (z ** -s * sp.hankel1e(mu, a * z) * sp.jve(nu, b * z)
+                    * np.exp(1j * a * x0) * np.exp(-(a - b) * z.imag))
+
+        r = integrate_semiinf_oscillatory(f, 0.0, x0, fc, a - b, 1e-8)
         assert r.converged
         worst = max(worst, abs(r.value - closed(mu, nu, s, a, b)) / r.abs_err_est)
     assert worst <= 1.0
-
-
-def test_stagnation_flagged():
-    f = Integrand(lambda y: y * sp.jv(0, y) / (1 + y * y))
-    r = integrate_semiinf_oscillatory(f, 0.0, OscillationDescriptor(math.pi, 2.405),
-                                      1e-12, max_cells=4)
-    assert not r.converged
-    assert "stagnated" in r.note
 
 
 # ----------------------------------------------------------------------
@@ -534,14 +462,13 @@ def test_error_estimates_bound_truth():
     record(integrate_semiinf_decaying(lambda x: np.exp(-x * x), 0.0, 1.0, 1e-9),
            0.5 * math.sqrt(math.pi))
     record(integrate_semiinf_oscillatory(
-        Integrand(lambda x: np.sinc(x / np.pi)), 0.0,
-        OscillationDescriptor(math.pi, math.pi), 1e-9), 0.5 * math.pi)
+        Integrand(lambda x: np.sinc(x / np.pi)), 0.0, math.pi,
+        lambda z: -1j * np.exp(1j * z) / z, 1.0, 1e-9), 0.5 * math.pi)
     record(integrate_semiinf_oscillatory(
-        Integrand(lambda x: sp.jv(0, x)), 0.0,
-        OscillationDescriptor(math.pi, 2.405), 1e-9), 1.0)
+        Integrand(lambda x: sp.jv(0, x)), 0.0, math.pi, _j0_on_ray(math.pi), 1.0, 1e-9), 1.0)
     record(integrate_semiinf_oscillatory(
-        Integrand(lambda y: y * sp.jv(0, y) / (1 + y * y)), 0.0,
-        OscillationDescriptor(math.pi, 2.405), 1e-9),
+        Integrand(lambda y: y * sp.jv(0, y) / (1 + y * y)), 0.0, math.pi,
+        _hankel_k0_on_ray(math.pi), 1.0, 1e-9),
         float(sp.kv(0, 1)))
 
     bounded = sum(1 for err, est in cases if err <= est)

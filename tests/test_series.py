@@ -120,6 +120,15 @@ def test_gauss_product_within_error_estimate_against_mpmath():
     assert worst <= 1.0
 
 
+@pytest.mark.parametrize("x", [30.0, 80.0])
+def test_gauss_product_without_a_correct_digit_is_unconverged(x):
+    # at a x = 90 the sum cancels past longdouble: its estimate, far above
+    # a product bounded by 1, exceeds the value it comes with
+    r = se.product_jj_gauss(0.3, 1.7, 3.0, 2.9, x)
+    assert r.abs_err_est > abs(r.value)
+    assert not r.converged and "no correct digit" in r.note
+
+
 # ----------------------------------------------------------------------
 # product_jj_neumann
 # ----------------------------------------------------------------------
