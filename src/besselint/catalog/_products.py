@@ -323,11 +323,13 @@ def _i211_rhs(p, b: Budgets, tol: float) -> EvalResult:
         return (y / w * bessel_j_vec(nu, t * y) * bessel_j_vec(mu, 4 * a / w)
                 * bessel_i_vec(nu, 4 * a * y / w))
 
-    # past x0 = max(pi/t, 1), J_nu(ty) = Re H1_nu(ty) decays up the ray x0 + iy;
-    # the other factors continue to Re z >= 1, where |1 + z^2| >= 1 keeps their
-    # essential singularities at z = +-i out of reach and their arguments
-    # bounded, so the scaled kernels take back their exponentials
-    x0 = max(math.pi / t, 1.0)
+    # past x0 = max(pi/t, 1, a/2), J_nu(ty) = Re H1_nu(ty) decays up the ray
+    # x0 + iy; the other factors continue to Re z >= 1, where |1 + z^2| >= 1
+    # keeps their essential singularities at z = +-i out of reach, and with
+    # x0 >= a/2 their arguments stay within |4az/(1 + z^2)| <= 8, so the
+    # scaled kernels take back exponentials of at most e^8 and the tail does
+    # not cancel far below the size of its integrand
+    x0 = max(math.pi / t, 1.0, 0.5 * a)
     phase = np.exp(1j * t * x0)
 
     def fc(z):

@@ -249,12 +249,14 @@ I_3_20 = IdentityRecord(
 
 
 # ----------------------------------------------------------------------
-# I-3.21  0F3 Laplace transform (watch: suspected misprint)
+# I-3.21  0F3 Laplace transform (watch: erratum in the printed LHS)
 # ----------------------------------------------------------------------
-# As printed the LHS carries no power of x; term-by-term integration
-# shows the two sides agree exactly when nu = 1/2 and differ by a
-# parameter-dependent ratio otherwise (the RHS matches the transform of
-# x^(2nu-1) 0F3(...)).  Verified as stated, with the ratio logged.
+# The printed LHS lacks a factor x^(2nu-1).  With it, term by term
+# Gamma(2nu + 2k) = Gamma(2nu) 4^k (nu)_k (nu + 1/2)_k (DLMF 5.5.5) turns
+# the integral into the printed RHS (DLMF 10.16.9).  As printed the LHS is
+# (1/beta) 2F3(1/2, 1; mu, nu, nu + 1/2; -4a^2/beta^2): the sides agree
+# exactly when nu = 1/2 and differ by that ratio otherwise.  Verified as
+# printed, with the ratio logged.
 
 def _i321_lhs(p, b: Budgets, tol: float) -> EvalResult:
     mu, nu, a, be = p["mu"], p["nu"], p["a"], p["beta"]

@@ -14,14 +14,15 @@ Three entry points, all returning :class:`~besselint.specfun.EvalResult`:
   two.  A run whose error stops falling ends as stagnated;
 * :func:`integrate_semiinf_decaying` -- semi-infinite integrals whose
   integrand decays at least like exp(-rate*x): one head pass over
-  [a, a + 30/rate] whose first integrand call also samples the tail, an
-  analytic tail bound, and a finite extension only where the bound asks
-  for one;
+  [a, a + 30/rate], graded as x = a + (30/rate) u**3 so that its nodes
+  sit where exp(-rate*x) puts the mass, whose first integrand call also
+  samples the tail; an analytic tail bound; and a finite extension only
+  where the bound asks for one;
 * :func:`integrate_semiinf_oscillatory` -- conditionally convergent
   oscillatory integrals over [a, oo) whose continuation into the upper
-  half-plane decays: the finite engine on the head [a, x0], then the tail
-  up the vertical ray x0 + iy, where it neither oscillates nor decays
-  slower than exp(-rate*y), by the decaying engine.
+  half-plane decays: the finite engine on the head [a, x0], opened with
+  four panels, then the tail up the vertical ray x0 + iy, where it neither
+  oscillates nor decays slower than exp(-rate*y), by the decaying engine.
 
 Each engine takes the integrand and the interval start, then what it
 needs to know of the integrand's behaviour (the interval end, the decay
@@ -317,7 +318,10 @@ def integrate_finite(f, a: float, b: float, tol: float, *,
     """Adaptive G7/K15 quadrature of f over [a, b], refined in batches.
 
     Terminates when the summed interval error estimates drop below
-    ``target = max(tol * |result|, abs_floor)``.  Each refinement round
+    ``target = max(tol * |result|, abs_floor)``.  Each piece opens with
+    ``initial_intervals`` even panels, at least 4 when f declares
+    singularities (a hinted run almost never converges on one panel).
+    Each refinement round
     takes the worst intervals until their errors cover the excess over
     the target (at least one interval), splits them and evaluates every
     new panel with one call of f per piece.  An interval is bisected,
@@ -378,7 +382,8 @@ def integrate_finite(f, a: float, b: float, tol: float, *,
             errs.extend(e)
         return ""
 
-    n0 = min(max(1, int(initial_intervals)), max_evals // (15 * len(pieces)))
+    n0 = min(max(4 if f.singularities else 1, int(initial_intervals)),
+             max_evals // (15 * len(pieces)))
     if n0 < 1:
         return EvalResult(0.0, math.inf, False, 0, note="integrate_finite: node budget exhausted")
     grid = {}
@@ -457,6 +462,36 @@ def integrate_finite(f, a: float, b: float, tol: float, *,
 _PROBES = np.linspace(0.0, 2.0, 6)[1:]
 _PROBE_GROWTH = np.exp(_PROBES)
 
+# Even panels in u that open the decaying engine's head, x = a + L u**3
+_HEAD_PANELS = 8
+
+
+def _head_hints(sings, a: float, L: float):
+    """The hints of f on [a, a + L] as hints of the head's u-integrand.
+
+    A hint |x - a|**g at a becomes u**(3g + 2) at u = 0, its offset form
+    h -> off(L h**3) * 3 L h**2.  Returns None when a hint lies inside
+    (a, a + L]: the distance to it would go through the rounded u-map,
+    which blurs it near the point, so that head is integrated in x.
+    """
+    out = []
+    tol_pos = 1e-12 * max(abs(a), abs(a + L), 1.0)
+    for s in sings:
+        d = s.location - a
+        if abs(d) <= tol_pos:
+            g, off, uoff = s.exponent, s.offset_fn, None
+            if off is not None:
+                def uoff(h, off=off, g=g):
+                    # L h**3 underflows long before h reaches _H_FLOOR: take
+                    # off(x) x**-g at x >= _H_FLOOR and restore h**(3g + 2)
+                    x = np.maximum(L * h ** 3, _H_FLOOR)
+                    return (np.asarray(off(x), dtype=float) * x ** (-g)
+                            * (3.0 * L ** (1.0 + g)) * h ** (3.0 * g + 2.0))
+            out.append(EndpointSingularity(0.0, 3.0 * g + 2.0, uoff))
+        elif 0.0 < d <= L + tol_pos:
+            return None
+    return tuple(out)
+
 
 def integrate_semiinf_decaying(f, a: float, rate: float, tol: float, *,
                                abs_floor: float = 1e-300,
@@ -464,16 +499,22 @@ def integrate_semiinf_decaying(f, a: float, rate: float, tol: float, *,
     """Integrate f over [a, oo) for integrands that decay like exp(-rate*x).
 
     The head [a, t0], t0 = a + 30/rate, is integrated once, at half the
-    tolerance; it sets the error budget and is returned as it is when it
-    does not converge.  The truncation point T is then pushed out from
-    t0 until the sampled-envelope tail bound
-    max|f| * exp(-rate*(t-T)) / rate  falls below half the budget, and
-    only a T past t0 adds [t0, T] to the head.  The 5 probes at
-    t0 + (0, 2/rate] ride the head's first call of f, so a head that
-    converges in one round takes one call; a non-finite probe value pushes
-    T out.  A bound still not met at a + 900/rate (the rate overstates the
-    decay) ends the run unconverged.  The head, the tail probes (5 nodes
-    at each T) and [t0, T] share the one ``max_evals``.
+    tolerance, in u over [0, 1] with x = a + (t0 - a) u**3, from 8 even
+    panels in u: 97.6% of the envelope's mass lies in the first eighth of
+    [a, t0], where the map puts half the nodes, and the Jacobian
+    3 (t0 - a) u**2 is smooth at u = 0.  A declared |x - a|**g at a
+    becomes u**(3g + 2); a head with a declared point inside (a, t0] runs
+    in x from 8 even panels.  The head sets the error budget.  The
+    truncation point T is then pushed out from t0 until the
+    sampled-envelope tail bound  max|f| * exp(-rate*(t-T)) / rate  falls
+    below half the budget, and only a T past t0 adds [t0, T] to the head.
+    A head that stops unconverged with a finite estimate still gets its
+    tail: the run returns the sums, unconverged, with the head's note.  The
+    5 probes at t0 + (0, 2/rate] ride the head's first call of f, so a head
+    that converges in one round takes one call; a non-finite probe value
+    pushes T out.  A bound still not met at a + 900/rate (the rate
+    overstates the decay) ends the run unconverged.  The head, the tail
+    probes (5 nodes at each T) and [t0, T] share the one ``max_evals``.
     """
     lam = float(rate)
     if not (lam > 0.0):
@@ -481,28 +522,33 @@ def integrate_semiinf_decaying(f, a: float, rate: float, tol: float, *,
     f = _as_integrand(f)
     a = float(a)
 
-    def seeds(lo: float, hi: float) -> int:
-        return min(64, max(8, int(round((hi - lo) * lam / 4.0))))
-
     span = 1.0 / lam
     t0 = a + 30.0 * span
+    L = t0 - a
     probes = _PROBES * span
     ridden: list = []  # f at t0 + probes, from the head's first call of f
+    hints = _head_hints(f.singularities, a, L)
+    graded = hints is not None
+    a_up = np.nextafter(a, math.inf)  # no node rounds onto a
 
-    def head_fn(x: np.ndarray) -> np.ndarray:
-        if ridden:
-            return f.fn(x)
-        y = np.asarray(f.fn(np.concatenate((x, t0 + probes))), dtype=float)
-        if y.shape != (x.size + probes.size,):
+    def head_fn(u: np.ndarray) -> np.ndarray:
+        x = np.maximum(a + L * (u * u * u), a_up) if graded else u
+        if not ridden:
+            x = np.concatenate((x, t0 + probes))
+        y = np.asarray(f.fn(x), dtype=float)
+        if y.shape != x.shape:
             return y  # the head reports the shape
-        ridden.append(y[x.size:])
-        return y[:x.size]
+        if x.size > u.size:
+            ridden.append(y[u.size:])
+            y = y[:u.size]
+        return y * (3.0 * L) * (u * u) if graded else y
 
-    head = integrate_finite(Integrand(head_fn, f.singularities), a, t0, 0.5 * tol,
+    head = integrate_finite(Integrand(head_fn, hints if graded else f.singularities),
+                            0.0 if graded else a, 1.0 if graded else t0, 0.5 * tol,
                             abs_floor=0.5 * abs_floor, max_evals=max_evals - probes.size,
-                            initial_intervals=seeds(a, t0))
+                            initial_intervals=_HEAD_PANELS)
     spent = head.terms_or_nodes_used + (probes.size if ridden else 0)
-    if not head.converged:
+    if not math.isfinite(head.abs_err_est):
         return EvalResult(head.value, head.abs_err_est, False, spent, note=head.note)
     scale = max(abs(head.value), abs_floor)
     budget = max(tol * scale, abs_floor)
@@ -528,13 +574,16 @@ def integrate_semiinf_decaying(f, a: float, rate: float, tol: float, *,
         return EvalResult(head.value, math.inf, False, spent,
                           note=f"integrate_semiinf_decaying: {why}")
     if T == t0:
-        return EvalResult(head.value, head.abs_err_est + tail_bound, True, spent)
+        return EvalResult(head.value, head.abs_err_est + tail_bound, head.converged, spent,
+                          note=head.note)
 
     rest = integrate_finite(f, t0, T, 0.5 * tol, abs_floor=0.5 * budget,
-                            max_evals=max_evals - spent, initial_intervals=seeds(t0, T))
+                            max_evals=max_evals - spent,
+                            initial_intervals=min(64, max(8, round((T - t0) * lam / 4.0))))
     return EvalResult(head.value + rest.value,
                       head.abs_err_est + rest.abs_err_est + tail_bound,
-                      rest.converged, spent + rest.terms_or_nodes_used, note=rest.note)
+                      head.converged and rest.converged, spent + rest.terms_or_nodes_used,
+                      note=head.note or rest.note)
 
 
 # ----------------------------------------------------------------------
@@ -556,8 +605,8 @@ def integrate_semiinf_oscillatory(f, a: float, x0: float,
     integral (the rotation of the contour used for Bessel-product
     integrals, DLMF 10.17).
 
-    The head [a, x0] goes through :func:`integrate_finite`, so f's
-    :class:`EndpointSingularity` hints apply; the tail goes through
+    The head [a, x0] goes through :func:`integrate_finite` from 4 panels,
+    so f's :class:`EndpointSingularity` hints apply; the tail goes through
     :func:`integrate_semiinf_decaying` at ``rate``.  Both are asked for
     ``tol`` and share the one ``max_evals``; the tail gets what the head
     left.  The value and the error estimate are the sums of the two parts';
@@ -571,7 +620,7 @@ def integrate_semiinf_oscillatory(f, a: float, x0: float,
     def tail_fn(y: np.ndarray) -> np.ndarray:
         return -np.asarray(fc(x0 + 1j * y)).imag
 
-    head = integrate_finite(f, a, x0, tol, max_evals=max_evals)
+    head = integrate_finite(f, a, x0, tol, max_evals=max_evals, initial_intervals=4)
     tail = integrate_semiinf_decaying(tail_fn, 0.0, rate, tol,
                                       max_evals=max_evals - head.terms_or_nodes_used)
     return EvalResult(head.value + tail.value, head.abs_err_est + tail.abs_err_est,

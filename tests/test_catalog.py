@@ -181,6 +181,59 @@ def test_error_bars_cover_disagreement_in_run_all():
     assert {ident for ident, _ in over} <= {"I-3.19"}, over
 
 
+@pytest.mark.parametrize("identity, point", [
+    ("I-2.31", {"nu": 0.0, "r": 1.0, "p": 0.3, "c": 3.0}),
+    ("I-3.21", {"mu": 1.5, "nu": 0.5, "a": 1.0, "beta": 1.2}),
+])
+def test_stalled_decaying_side_carries_its_tail(identity, point):
+    # at rel_tol 1e-12 these decaying heads stall at their rounding floor;
+    # the part past the head (2.1e-13 for I-2.31, whose answer e^(-c^2/4p)
+    # cancels far below its integrand) must still be in value and bars
+    r = catalog.verify(identity, point, rel_tol=1e-12)
+    assert r.abs_diff <= r.lhs.abs_err_est + r.rhs.abs_err_est, (r.abs_diff, r.note)
+
+
+def test_run_all_integrand_calls_and_nodes(monkeypatch):
+    # counts that do not depend on the machine: integrand calls through
+    # _gk15 and the nodes and terms of both sides of the 163 entries
+    from besselint import quad
+    calls = [0]
+    gk15 = quad._gk15
+
+    def counted(fn, lo, hi):
+        calls[0] += 1
+        return gk15(fn, lo, hi)
+
+    monkeypatch.setattr(quad, "_gk15", counted)
+    entries = catalog.run_all().entries
+    nodes = sum(e.lhs.terms_or_nodes_used + e.rhs.terms_or_nodes_used for e in entries)
+    assert calls[0] <= 400 and nodes <= 43_000, (calls[0], nodes)
+
+
+def test_i321_erratum_on_its_grid():
+    # The printed left side lacks a factor x^(2nu-1).  With it, term by term
+    # Gamma(2nu + 2k) = Gamma(2nu) 4^k (nu)_k (nu + 1/2)_k (DLMF 5.5.5) turns
+    # the integral into Gamma(2nu) beta^(-2nu) 0F1(; mu; -4a^2/beta^2), the
+    # printed right side (DLMF 10.16.9).  As printed, the left side is
+    # (1/beta) 2F3(1/2, 1; mu, nu, nu + 1/2; -4a^2/beta^2).
+    from besselint.quad import EndpointSingularity, Integrand, integrate_semiinf_decaying
+    from besselint.specfun import hyp0f3_vec
+    mpmath = pytest.importorskip("mpmath")
+    for p in catalog.get_identity("I-3.21").space.grid():
+        mu, nu, a, be = p["mu"], p["nu"], p["a"], p["beta"]
+        lhs, rhs = catalog.evaluate_sides("I-3.21", p)
+
+        def fn(x):
+            return x ** (2 * nu - 1) * np.exp(-be * x) * hyp0f3_vec(mu, nu, nu + 0.5, -(a * x) ** 2)
+
+        fixed = integrate_semiinf_decaying(
+            Integrand(fn, (EndpointSingularity(0.0, 2 * nu - 1),)), 0.0, be, 1e-12)
+        assert fixed.converged, (p, fixed.note)
+        assert abs(fixed.value - rhs.value) <= fixed.abs_err_est + rhs.abs_err_est, p
+        printed = float(mpmath.hyper([0.5, 1.0], [mu, nu, nu + 0.5], -4 * a * a / be ** 2)) / be
+        assert abs(lhs.value - printed) <= lhs.abs_err_est, (p, lhs.value, printed)
+
+
 def _i27_closed_form(mu, nu, s, a, b):
     # the right side of I-2.7 through mpmath at 30 digits
     mpmath = pytest.importorskip("mpmath")
@@ -225,7 +278,8 @@ def _ray_kelvin_points():
     # the Sonine-Gegenbauer inversion and the inverse Kelvin sides, whose
     # tails run up a ray at rate t: every grid point copied 6 times with
     # each nonzero parameter scaled by exp(U(-0.7, 0.7)) (redrawn where a
-    # constraint fails), then a stress grid of a up to 6 and t from 0.2 to 8
+    # constraint fails), then a stress grid of a up to 8 and t from 0.2 to 8
+    # (I-2.11 at a = 8, t = 3 undercovers 5x with its ray's foot at pi/t)
     rng = np.random.default_rng(5)
     points = []
     for ident in ("I-2.11", "I-2.19", "I-2.20", "I-2.21", "I-2.22"):
@@ -238,8 +292,8 @@ def _ray_kelvin_points():
                          for k, v in base.items()}
                 points.append((ident, p))
         extra = {"mu": 0.5, "nu": 0.5} if ident == "I-2.11" else {}
-        for a in (0.3, 2.0, 6.0):
-            for t in (0.2, 1.0, 8.0):
+        for a in (0.3, 2.0, 6.0, 8.0):
+            for t in (0.2, 1.0, 3.0, 8.0):
                 points.append((ident, {**extra, "a": a, "t": t}))
     return points
 

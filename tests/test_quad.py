@@ -266,6 +266,73 @@ def test_decaying_nonfinite_probe_moves_truncation_out():
     assert r.note == "integrate_finite: non-finite integrand value"
 
 
+def _x_pow(g, rate):
+    return lambda x: x ** g * np.exp(-rate * x)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-13])
+@pytest.mark.parametrize("f, rate, want", [
+    (Integrand(_x_pow(-0.9, 1.0), (EndpointSingularity(0.0, -0.9),)), 1.0, math.gamma(0.1)),
+    (Integrand(_x_pow(-0.9, 1.0), (EndpointSingularity(0.0, -0.9, _x_pow(-0.9, 1.0)),)),
+     1.0, math.gamma(0.1)),
+    (Integrand(_x_pow(0.5, 2.0), (EndpointSingularity(0.0, 0.5),)), 2.0,
+     math.gamma(1.5) / 2.0 ** 1.5),
+], ids=["x^-0.9", "x^-0.9-offset", "x^0.5"])
+def test_hinted_graded_head_within_its_estimate(f, rate, want, tol):
+    # the head runs in u, x = 30 u^3 / rate: a hint x^g at 0 becomes
+    # u^(3g + 2), its offset form off(L h^3) 3 L h^2
+    r = integrate_semiinf_decaying(f, 0.0, rate, tol)
+    assert r.converged, r.note
+    assert abs(r.value - want) <= r.abs_err_est, (r.value, want)
+
+
+def test_graded_head_nodes_stay_off_the_start():
+    # x = a + L u^3 rounds onto a = 1 for u below about 2e-6, where an
+    # unhinted log(x - 1) would be -inf
+    r = integrate_semiinf_decaying(lambda x: np.log(x - 1.0) * np.exp(-x), 1.0, 1.0, 1e-13)
+    assert r.converged, r.note
+    assert abs(r.value + 0.5772156649015329 * math.exp(-1.0)) <= r.abs_err_est
+
+
+def test_decaying_head_with_an_interior_hint_runs_in_x():
+    # |x - 3|^-0.5 e^-x: the u-map would blur the distance to x = 3, so
+    # that head is integrated in x, split at the hint
+    f = Integrand(lambda x: np.abs(x - 3.0) ** -0.5 * np.exp(-x), (EndpointSingularity(3.0, -0.5),))
+    want = math.sqrt(math.pi) * math.exp(-3.0) * (1.0 + sp.erfi(math.sqrt(3.0)))
+    r = integrate_semiinf_decaying(f, 0.0, 1.0, 1e-13, max_evals=2000)
+    assert r.converged, r.note
+    assert abs(r.value - want) <= r.abs_err_est
+    assert r.terms_or_nodes_used <= 300
+
+
+def test_stalled_decaying_head_keeps_its_tail():
+    # int_0^oo e^-t (1 - t) dt = 0, so the head [0, 30] alone is
+    # 30 e^-30 = 2.8e-12; it stalls at its rounding floor, about 2e-16, and
+    # the run still adds [30, T], unconverged, with the head's note
+    r = integrate_semiinf_decaying(lambda t: np.exp(-t) * (1.0 - t), 0.0, 1.0, 1e-10)
+    assert not r.converged
+    assert r.note == "integrate_finite: error stagnated"
+    assert abs(r.value) <= r.abs_err_est < 1e-15
+
+
+def test_hinted_runs_and_oscillatory_heads_open_with_four_panels():
+    # an unhinted run opens with one panel (15 nodes), a hinted run and an
+    # oscillatory head with four (60 nodes)
+    seen = []
+
+    def f(x):
+        seen.append(x.size)
+        return np.cos(x)
+
+    r = integrate_finite(np.exp, 0.0, 1.0, 1e-10)
+    assert r.converged and r.terms_or_nodes_used == 15
+    integrate_finite(Integrand(f, (EndpointSingularity(0.0, 0.5),)), 0.0, 1.0, 1e-10)
+    assert seen[0] == 60
+    seen.clear()
+    integrate_semiinf_oscillatory(f, 0.0, math.pi, _j0_on_ray(math.pi), 1.0, 1e-10)
+    assert seen[0] == 60
+
+
 def test_decay_rate_must_be_positive():
     for rate in (0.0, -1.0, math.nan):
         with pytest.raises(DomainError):
