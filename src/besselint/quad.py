@@ -470,9 +470,10 @@ def _head_hints(sings, a: float, L: float):
     """The hints of f on [a, a + L] as hints of the head's u-integrand.
 
     A hint |x - a|**g at a becomes u**(3g + 2) at u = 0, its offset form
-    h -> off(L h**3) * 3 L h**2.  Returns None when a hint lies inside
-    (a, a + L]: the distance to it would go through the rounded u-map,
-    which blurs it near the point, so that head is integrated in x.
+    h -> off(L h**3) * 3 L h**2.  Returns None, and that head is integrated
+    in x, when f would see the distance to a hinted point only through the
+    rounded u-map: a hint inside (a, a + L], or one at a != 0 with no
+    offset form, where a + L u**3 rounds the distance to the spacing of a.
     """
     out = []
     tol_pos = 1e-12 * max(abs(a), abs(a + L), 1.0)
@@ -480,6 +481,8 @@ def _head_hints(sings, a: float, L: float):
         d = s.location - a
         if abs(d) <= tol_pos:
             g, off, uoff = s.exponent, s.offset_fn, None
+            if off is None and a != 0.0:
+                return None
             if off is not None:
                 def uoff(h, off=off, g=g):
                     # L h**3 underflows long before h reaches _H_FLOOR: take
@@ -503,8 +506,8 @@ def integrate_semiinf_decaying(f, a: float, rate: float, tol: float, *,
     panels in u: 97.6% of the envelope's mass lies in the first eighth of
     [a, t0], where the map puts half the nodes, and the Jacobian
     3 (t0 - a) u**2 is smooth at u = 0.  A declared |x - a|**g at a
-    becomes u**(3g + 2); a head with a declared point inside (a, t0] runs
-    in x from 8 even panels.  The head sets the error budget.  The
+    becomes u**(3g + 2); a head with a declared point inside (a, t0], or
+    with one at a != 0 and no offset form, runs in x from 8 even panels.  The head sets the error budget.  The
     truncation point T is then pushed out from t0 until the
     sampled-envelope tail bound  max|f| * exp(-rate*(t-T)) / rate  falls
     below half the budget, and only a T past t0 adds [t0, T] to the head.

@@ -171,11 +171,28 @@ def test_product_series_errors_cover_disagreement():
         assert abs(e.lhs.value - e.rhs.value) <= e.lhs.abs_err_est + e.rhs.abs_err_est, e.point
 
 
-def test_error_bars_cover_disagreement_in_run_all():
+@pytest.fixture(scope="module")
+def run_all_counted():
+    # one default run_all(), with its integrand calls through _gk15 counted
+    from besselint import quad
+    calls = [0]
+    gk15 = quad._gk15
+
+    def counted(fn, lo, hi):
+        calls[0] += 1
+        return gk15(fn, lo, hi)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quad, "_gk15", counted)
+        report = catalog.run_all()
+    return report, calls[0]
+
+
+def test_error_bars_cover_disagreement_in_run_all(run_all_counted):
     # every non-watch entry's error bars must cover |lhs - rhs|, except
     # I-3.19 (its series side differentiates by finite differences)
     watch = {r.id for r in catalog.list_identities() if r.watch}
-    over = [(e.identity, e.point) for e in catalog.run_all().entries
+    over = [(e.identity, e.point) for e in run_all_counted[0].entries
             if e.identity not in watch
             and abs(e.lhs.value - e.rhs.value) > e.lhs.abs_err_est + e.rhs.abs_err_est]
     assert {ident for ident, _ in over} <= {"I-3.19"}, over
@@ -193,21 +210,12 @@ def test_stalled_decaying_side_carries_its_tail(identity, point):
     assert r.abs_diff <= r.lhs.abs_err_est + r.rhs.abs_err_est, (r.abs_diff, r.note)
 
 
-def test_run_all_integrand_calls_and_nodes(monkeypatch):
+def test_run_all_integrand_calls_and_nodes(run_all_counted):
     # counts that do not depend on the machine: integrand calls through
     # _gk15 and the nodes and terms of both sides of the 163 entries
-    from besselint import quad
-    calls = [0]
-    gk15 = quad._gk15
-
-    def counted(fn, lo, hi):
-        calls[0] += 1
-        return gk15(fn, lo, hi)
-
-    monkeypatch.setattr(quad, "_gk15", counted)
-    entries = catalog.run_all().entries
-    nodes = sum(e.lhs.terms_or_nodes_used + e.rhs.terms_or_nodes_used for e in entries)
-    assert calls[0] <= 400 and nodes <= 43_000, (calls[0], nodes)
+    report, calls = run_all_counted
+    nodes = sum(e.lhs.terms_or_nodes_used + e.rhs.terms_or_nodes_used for e in report.entries)
+    assert calls <= 400 and nodes <= 43_000, (calls, nodes)
 
 
 def test_i321_erratum_on_its_grid():

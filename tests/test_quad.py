@@ -286,6 +286,24 @@ def test_hinted_graded_head_within_its_estimate(f, rate, want, tol):
     assert abs(r.value - want) <= r.abs_err_est, (r.value, want)
 
 
+def _shifted_pow(h):
+    return h ** -0.9 * np.exp(-(1.0 + h))
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-13])
+@pytest.mark.parametrize("off", [None, _shifted_pow], ids=["x", "offset"])
+def test_hint_at_a_nonzero_start(off, tol):
+    # int_1^oo (x - 1)^-0.9 e^-x dx = Gamma(0.1)/e, about half of it within
+    # 1e-13 of x = 1.  Without an offset form the head runs in x, where the
+    # distance is divided out as f saw it: through a + L u^3 it would be
+    # rounded to the spacing of 1
+    f = Integrand(lambda x: np.abs(x - 1.0) ** -0.9 * np.exp(-x),
+                  (EndpointSingularity(1.0, -0.9, off),))
+    r = integrate_semiinf_decaying(f, 1.0, 1.0, tol)
+    assert r.converged, r.note
+    assert abs(r.value - math.gamma(0.1) / math.e) <= r.abs_err_est
+
+
 def test_graded_head_nodes_stay_off_the_start():
     # x = a + L u^3 rounds onto a = 1 for u below about 2e-6, where an
     # unhinted log(x - 1) would be -inf
