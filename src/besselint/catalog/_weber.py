@@ -162,7 +162,7 @@ I_3_8 = IdentityRecord(
 
 
 # ----------------------------------------------------------------------
-# I-3.19  J0 Jm Jm generalization (numerical m-th derivative)
+# I-3.19  J0 Jm Jm generalization (exact m-th derivative by Leibniz's rule)
 # ----------------------------------------------------------------------
 
 def _i319_lhs(p, b: Budgets, tol: float) -> EvalResult:

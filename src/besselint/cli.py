@@ -51,10 +51,6 @@ def _weber_triple_m(m, alpha, b1, b2, b3):
     return series.weber_triple_m(series.TripleParams(alpha, b1, b2, b3, m))
 
 
-def _weber_j0jm(alpha, b1, b2, m):
-    return series.weber_j0jm_limit(alpha, b1, b2, m)
-
-
 EVAL_FUNCTIONS = {
     "gamma": (specfun.gamma, ("x",)),
     "log_gamma": (specfun.log_gamma, ("x",)),
@@ -69,14 +65,12 @@ EVAL_FUNCTIONS = {
     "hyp0f1": (specfun.hyp0f1, ("c", "z")),
     "hyp0f3": (specfun.hyp0f3, ("b1", "b2", "b3", "z")),
     "hyp2f1": (specfun.hyp2f1, ("a", "b", "c", "z")),
-    "laguerre": (lambda n, m, x: specfun.laguerre(int(n), int(m), x), ("n", "m", "x")),
-    "gegenbauer": (lambda n, lam, x: specfun.gegenbauer(int(n), lam, x), ("n", "lam", "x")),
     "product_jj_gauss": (series.product_jj_gauss, ("mu", "nu", "a", "b", "x")),
     "product_jj_neumann": (series.product_jj_neumann, ("nu", "a", "b", "x")),
     "hyp0f1_product": (series.hyp0f1_product, ("c", "x", "y")),
     "weber_triple": (_weber_triple, ("alpha", "beta1", "beta2", "beta3")),
     "weber_triple_m": (_weber_triple_m, ("m", "alpha", "beta1", "beta2", "beta3")),
-    "weber_j0jm_limit": (_weber_j0jm, ("alpha", "beta1", "beta2", "m")),
+    "weber_j0jm_limit": (series.weber_j0jm_limit, ("alpha", "beta1", "beta2", "m")),
 }
 
 

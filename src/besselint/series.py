@@ -4,8 +4,8 @@ The explicit expansions used as closed/series routes by the catalog:
 the Gauss-sum expansion of J_mu(ax)J_nu(bx), its Neumann-series
 counterpart, the 0F1 product sum, the Laplace-transform series for the
 product of three Bessel functions (with its m-th-derivative
-generalization and the two-factor limit), and the Richardson-extrapolated
-numerical m-th derivative the generalization needs.
+generalization and the two-factor limit), and the exact m-th derivative
+the generalization needs, by Leibniz's rule term by term.
 
 Every infinite series here is a generator of its terms summed by
 ``specfun._sum_series``, the compensated loop that also sums the scalar
@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy import special as _sp
@@ -48,11 +47,26 @@ __all__ = [
 _EPS = 2.0 ** -52
 
 # Terms in the first block of product_jj_gauss (48 covers a x <= 10 in one
-# block) and inner 0F1 in the first block of hyp0f1_product; each further
+# block), and inner 0F1 in the first block of hyp0f1_product and of
+# derivative_m (16 covers its catalog points in one block); each further
 # block doubles.  An inner 0F1 has the term budget of the scalar hyp0f1.
 _GAUSS_BLOCK = 48
 _HYP_BLOCK = 16
 _INNER_MAX_TERMS = 10000
+
+
+def _leibniz(m: int) -> np.ndarray:
+    # [i, j, l] -> m!/(i! j! l! r!) (-1)^r, zero unless r = m - i - j - l >= 0:
+    # Leibniz's rule for the m-th derivative of e^(-x) times three factors
+    c = np.zeros((m + 1,) * 3)
+    for i, j, l in itertools.product(range(m + 1), repeat=3):
+        if i + j + l <= m:
+            c[i, j, l] = ((-1) ** (m - i - j - l) * math.comb(m, i) * math.comb(m - i, j)
+                          * math.comb(m - i - j, l))
+    return c
+
+
+_LEIBNIZ = {m: _leibniz(m) for m in range(1, 5)}
 
 
 def _order_m(m, who: str) -> int:
@@ -260,59 +274,86 @@ def weber_triple(p: TripleParams, max_terms: int = 300) -> EvalResult:
     return scaled(_sum_series(terms(), max_terms, "weber_triple"), math.exp(expo) / al)
 
 
-def _triple_m_series(p: TripleParams, x: float, max_terms: int) -> EvalResult:
-    # sum over n of (-1)^n (n+m)(2m+n-1)!/n! * I_{m+n}(b2 sqrt(x/a))
-    #   * I_{m+n}(b3 sqrt(x/a)) * I_{m+n}(b2 b3/2a); the last factor is
-    #   constant in x.  The (-1)^n again belongs to the modified-Bessel
-    #   Gegenbauer addition theorem.
+def derivative_m(p: TripleParams, max_terms: int = 300) -> EvalResult:
+    """m-th derivative of e^(-x) S(x) at x0 = b1^2/(4 alpha), exactly, 1 <= m <= 4.
+
+    Term n of S is w_n I_k(zc) (c2 c3 x)^k g_k(c2 sqrt(x)) g_k(c3 sqrt(x)), with
+    k = m + n, w_n = (-1)^n (n+m)(2m+n-1)!/n! (the sign belongs to the
+    modified-Bessel Gegenbauer addition theorem), c_i = b_i/sqrt(alpha),
+    zc = b2 b3/(2 alpha) and g_k(u) = u^(-k) I_k(u) = 0F1(; k+1; u^2/4)/(2^k k!),
+    finite at u = 0.  As d/dx g_k(c sqrt(x)) = (c^2/2) g_(k+1)(c sqrt(x)) (DLMF
+    10.29.4), Leibniz's rule over e^(-x), x^k and the two g_k makes the m-th
+    derivative of term n w_n I_k(zc) (c2 c3)^k e^(-x0) times the sum over
+    l + i + j2 + j3 = m of m!/(l! i! j2! j3!) (-1)^l k!/(k-i)! x0^(k-i)
+    (c2^2/2)^j2 (c3^2/2)^j3 g_(k+j2)(c2 sqrt(x0)) g_(k+j3)(c3 sqrt(x0)).
+
+    The g_k of a block of n (16, doubling while the sum asks for more) come
+    from one call of the vector 0F1 summer with the array parameter k + 1,
+    whose terms the count includes.  A term's size is the sum of the
+    magnitudes of its Leibniz sum; the error adds each size times thrice the
+    largest relative error of the 0F1s plus (4k + 16) eps for the k-th powers.
+    Unconverged when an inner 0F1 did not converge.
+    """
+    if not (1 <= p.m <= 4):
+        raise DomainError(f"derivative_m: m must be in 1..4, got {p.m!r}")
+    if not (p.beta2 > 0.0 and p.beta3 > 0.0):
+        raise DomainError("derivative_m: requires beta2, beta3 > 0")
     m, al = p.m, p.alpha
-    s = math.sqrt(max(x, 0.0) / al)
-    u2, u3 = p.beta2 * s, p.beta3 * s
-    zc = p.beta2 * p.beta3 / (2.0 * al)
+    x0 = p.beta1 ** 2 / (4.0 * al)
+    u = np.array([p.beta1 * p.beta2, p.beta1 * p.beta3, p.beta2 * p.beta3]) / (2.0 * al)
+    z = (0.5 * u[:, None]) ** 2  # by row, the 0F1 argument of g_k at c2 sqrt(x0), c3 sqrt(x0), zc
+    zc = float(u[2])
+    half = np.array([p.beta2 ** 2, p.beta3 ** 2]) / (2.0 * al)  # c_i^2 / 2
+    leibniz, j = _LEIBNIZ[m], np.arange(m + 1)
+    ok, inner_terms, extra = True, 0, 0.0
 
     def terms():
-        for n in itertools.count():
-            w = (-1.0) ** n * (n + m) * math.exp(log_gamma(2.0 * m + n) - log_gamma(n + 1.0))
-            term = (w * float(_sp.iv(m + n, u2)) * float(_sp.iv(m + n, u3))
-                    * float(_sp.iv(m + n, zc)))
-            yield term, abs(term)
+        nonlocal ok, inner_terms, extra
+        n0, blk = 0, _HYP_BLOCK
+        while True:
+            orders = m + n0 + np.arange(blk + m, dtype=float)
+            f, e, k_used, done = _hyp0fq_vec((orders + 1.0,), z, _INNER_MAX_TERMS)
+            ok = ok and bool(done.all())
+            inner_terms += k_used
+            g = f * _sp.rgamma(orders + 1.0) * 0.5 ** orders
+            k = orders[:blk]
+            n = k - m
+            g2, g3 = (g[r, np.arange(blk)[:, None] + j] * half[r] ** j for r in (0, 1))
+            a = _sp.poch(k[:, None] - j + 1.0, j) * x0 ** (k[:, None] - j)  # k!/(k-i)! x0^(k-i)
+            # I_k(zc) (c2 c3)^k = (2 zc^2)^k g_k(zc), as c2 c3 = 2 zc
+            w = ((-1.0) ** n * (n + m) * _sp.poch(n + 1.0, 2 * m - 1) * math.exp(-x0)
+                 * (2.0 * zc * zc) ** k * g[2, :blk])
+            t = w * np.einsum("ijl,ni,nj,nl->n", leibniz, a, g2, g3)
+            s = np.abs(w) * np.einsum("ijl,ni,nj,nl->n", np.abs(leibniz), a, g2, g3)
+            rel = 3.0 * float(np.max(e / f)) + (4.0 * k + 16.0) * _EPS
+            for tn, sn, rn in zip(t.tolist(), s.tolist(), rel.tolist()):
+                extra += sn * rn
+                yield tn, sn
+            n0, blk = n0 + blk, 2 * blk
 
-    return _sum_series(terms(), max_terms, "weber_triple_m")
+    r = _sum_series(terms(), max_terms, "weber_triple_m")
+    note = r.note or ("" if ok else "weber_triple_m: an inner 0F1 did not converge")
+    return EvalResult(r.value, r.abs_err_est + extra, not note,
+                      r.terms_or_nodes_used + inner_terms, note)
 
 
 def weber_triple_m(p: TripleParams, max_terms: int = 300) -> EvalResult:
     """Laplace transform of J_0(b1 sqrt(x)) J_m(b2 sqrt(x)) J_m(b3 sqrt(x)), m >= 1.
 
-    Prefactor times the numerical m-th derivative (Richardson-extrapolated
-    central differences) of exp(-x) * S(x) at x = b1^2/(4 alpha), where S
-    is the modified-Bessel product series above.  m = 0 reduces to
+    (1/alpha) 2^(2m+1) m!/(2m)! (alpha/(b2 b3))^m e^(-(b2^2+b3^2)/4 alpha) times
+    the exact m-th derivative :func:`derivative_m`.  m = 0 reduces to
     :func:`weber_triple` identically.
     """
     if p.m == 0:
         return weber_triple(p, max_terms=max_terms)
-    if not (1 <= p.m <= 4):
-        raise DomainError(f"weber_triple_m: m must be in 1..4, got {p.m!r}")
-    if not (p.beta2 > 0.0 and p.beta3 > 0.0):
-        raise DomainError("weber_triple_m: requires beta2, beta3 > 0")
+    d = derivative_m(p, max_terms)
     m, al = p.m, p.alpha
-    pref = (math.exp((2 * m + 1) * math.log(2.0) + log_gamma(m + 1.0) - log_gamma(2.0 * m + 1.0)
-                     + m * math.log(al / (p.beta2 * p.beta3))
-                     - (p.beta2 ** 2 + p.beta3 ** 2) / (4.0 * al)) / al)
-    x0 = p.beta1 ** 2 / (4.0 * al)
-    series_ok = True
-
-    def g(x: float) -> float:
-        nonlocal series_ok
-        r = _triple_m_series(p, x, max_terms)
-        series_ok = series_ok and r.converged
-        return math.exp(-x) * r.value
-
-    d = derivative_m(g, x0, m)
-    note = d.note
-    if not series_ok:
-        note = (note + "; " if note else "") + "weber_triple_m: inner series ran past budget"
-    return scaled(EvalResult(d.value, d.abs_err_est, d.converged and series_ok,
-                             d.terms_or_nodes_used, note=note), pref)
+    t = -(p.beta2 ** 2 + p.beta3 ** 2) / (4.0 * al)
+    pref = (math.ldexp(math.factorial(m) / math.factorial(2 * m), 2 * m + 1)
+            * (al / (p.beta2 * p.beta3)) ** m * math.exp(t) / al)
+    # an error e in t moves exp(t) by e relative; t and the m-th power each
+    # carry a few eps of rounding
+    return scaled(d, pref, _EPS * (8.0 + 2.0 * m + 2.0 * abs(t)))
 
 
 def weber_j0jm_limit(alpha: float, beta1: float, beta2: float, m: int) -> EvalResult:
@@ -338,59 +379,3 @@ def weber_j0jm_limit(alpha: float, beta1: float, beta2: float, m: int) -> EvalRe
     v = ((beta2 / (2.0 * alpha)) ** m * math.exp(-(beta1 ** 2 + beta2 ** 2) / (4.0 * alpha))
          / alpha * total)
     return EvalResult(v, abs(v) * 1e-13 + 1e-305, True, m + 1)
-
-
-# ----------------------------------------------------------------------
-# numerical m-th derivative
-# ----------------------------------------------------------------------
-
-def _central_diff(f: Callable[[float], float], x0: float, m: int, h: float):
-    vals = [f(x0 + (0.5 * m - k) * h) for k in range(m + 1)]
-    acc = math.fsum((-1.0) ** k * math.comb(m, k) * v for k, v in enumerate(vals))
-    return acc / h ** m, max(abs(v) for v in vals)
-
-
-def _forward_diff(f: Callable[[float], float], x0: float, m: int, h: float):
-    vals = [f(x0 + k * h) for k in range(m + 1)]
-    acc = math.fsum((-1.0) ** (m - k) * math.comb(m, k) * v for k, v in enumerate(vals))
-    return acc / h ** m, max(abs(v) for v in vals)
-
-
-def derivative_m(f: Callable[[float], float], x0: float, m: int) -> EvalResult:
-    """m-th derivative of f at x0 >= 0 (m in 1..4) by finite differences.
-
-    Central stencils with steps h, h/2, h/4 and Richardson extrapolation
-    of the h^2 error series; one-sided stencils (with the matching h^1
-    ladder) when x0 sits too close to 0.  Flags instability when the
-    extrapolation ladder stops contracting.
-    """
-    if not (1 <= m <= 4):
-        raise DomainError(f"derivative_m: m must be in 1..4, got {m!r}")
-    x0 = float(x0)
-    if x0 < 0.0:
-        raise DomainError(f"derivative_m: requires x0 >= 0, got {x0!r}")
-    h = max(abs(x0), 1.0) * _EPS ** (1.0 / (m + 2))
-    one_sided = x0 < 0.5 * m * h
-    if one_sided:
-        d1, f1 = _forward_diff(f, x0, m, h)
-        d2, f2 = _forward_diff(f, x0, m, h / 2.0)
-        d4, f4 = _forward_diff(f, x0, m, h / 4.0)
-        r1 = 2.0 * d2 - d1
-        r1b = 2.0 * d4 - d2
-        r2 = (4.0 * r1b - r1) / 3.0
-    else:
-        d1, f1 = _central_diff(f, x0, m, h)
-        d2, f2 = _central_diff(f, x0, m, h / 2.0)
-        d4, f4 = _central_diff(f, x0, m, h / 4.0)
-        r1 = (4.0 * d2 - d1) / 3.0
-        r1b = (4.0 * d4 - d2) / 3.0
-        r2 = (16.0 * r1b - r1) / 15.0
-    if not all(map(math.isfinite, (d1, d2, d4))):
-        return EvalResult(math.nan, math.inf, False, 3 * (m + 1),
-                          note="derivative_m: non-finite stencil values")
-    # stencil roundoff: sum|binomial| * eps * max|f| on the finest step
-    noise = 2.0 ** m * _EPS * max(f1, f2, f4, _EPS) / (h / 4.0) ** m
-    err = abs(r2 - r1b) + noise
-    unstable = abs(r2 - r1b) > abs(r1b - r1) + noise and abs(r1b - r1) > noise
-    return EvalResult(r2, err, not unstable, 3 * (m + 1),
-                      note="derivative_m: extrapolants diverging" if unstable else "")

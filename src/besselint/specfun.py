@@ -1,9 +1,7 @@
 """Scalar special-function kernels.
 
-Gamma, Bessel J/Y/I/K of real order, Kelvin ber/bei of real order,
-generalized hypergeometric series (0F1, 0F3, 2F1) and the Laguerre and
-Gegenbauer polynomials (offered through ``besselint eval``; no evaluator
-calls them).
+Gamma, Bessel J/Y/I/K of real order, Kelvin ber/bei of real order and
+generalized hypergeometric series (0F1, 0F3, 2F1).
 
 The classical kernels (gamma, J, Y, I, K, 2F1) and the Kelvin functions
 of general order (J_nu along the ray arg z = 3*pi/4) are backed by
@@ -81,8 +79,6 @@ __all__ = [
     "hyp0f1_vec",
     "hyp0f3_vec",
     "hyp2f1",
-    "laguerre",
-    "gegenbauer",
 ]
 
 _EPS = 2.0 ** -52
@@ -645,42 +641,3 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> EvalResult:
         return EvalResult(v, abs(v) * 1e-9 + 1e-305, True, 1,
                           note="hyp2f1: degraded accuracy for 0.9 < z < 1")
     return closed_form(v)
-
-
-# ----------------------------------------------------------------------
-# Orthogonal polynomials (stable three-term recurrences)
-# ----------------------------------------------------------------------
-
-def laguerre(n: int, m: int, x: float) -> float:
-    """Generalized Laguerre polynomial L_n^m(x); m = 0 gives L_n."""
-    if n < 0 or m < 0:
-        raise DomainError(f"laguerre: requires n, m >= 0, got n={n!r}, m={m!r}")
-    x = float(x)
-    p_prev = 1.0
-    if n == 0:
-        return p_prev
-    p = 1.0 + m - x
-    for k in range(1, n):
-        p, p_prev = ((2 * k + m + 1 - x) * p - (k + m) * p_prev) / (k + 1), p
-    return p
-
-
-def gegenbauer(n: int, lam: float, x: float) -> float:
-    """Gegenbauer (ultraspherical) polynomial C_n^lam(x), lam > -1/2, lam != 0.
-
-    lam = 1/2 reproduces the Legendre polynomials.
-    """
-    if n < 0:
-        raise DomainError(f"gegenbauer: requires n >= 0, got n={n!r}")
-    lam = float(lam)
-    if lam <= -0.5 or lam == 0.0:
-        raise DomainError(f"gegenbauer: requires lam > -1/2 and lam != 0, got lam={lam!r}")
-    x = float(x)
-    p_prev = 1.0
-    if n == 0:
-        return p_prev
-    p = 2.0 * lam * x
-    for k in range(1, n):
-        p, p_prev = (2.0 * (k + lam) * x * p - (k + 2.0 * lam - 1.0) * p_prev) / (k + 1), p
-    return p
-

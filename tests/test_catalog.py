@@ -189,13 +189,22 @@ def run_all_counted():
 
 
 def test_error_bars_cover_disagreement_in_run_all(run_all_counted):
-    # every non-watch entry's error bars must cover |lhs - rhs|, except
-    # I-3.19 (its series side differentiates by finite differences)
+    # every non-watch entry's error bars must cover |lhs - rhs|
     watch = {r.id for r in catalog.list_identities() if r.watch}
     over = [(e.identity, e.point) for e in run_all_counted[0].entries
             if e.identity not in watch
             and abs(e.lhs.value - e.rhs.value) > e.lhs.abs_err_est + e.rhs.abs_err_est]
-    assert {ident for ident, _ in over} <= {"I-3.19"}, over
+    assert not over, over
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-12])
+def test_i319_grid_passes_at_tight_tolerances(rel_tol):
+    # the series side's m-th derivative is exact: every grid point passes far
+    # inside the hard class's 1e-4, with bars that cover |lhs - rhs|
+    rep = catalog.verify_grid("I-3.19", rel_tol=rel_tol)
+    assert rep.summary["pass"] == len(rep.entries) == 5, [e.note for e in rep.entries]
+    for e in rep.entries:
+        assert e.abs_diff <= e.lhs.abs_err_est + e.rhs.abs_err_est, e.point
 
 
 @pytest.mark.parametrize("identity, point", [

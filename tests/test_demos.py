@@ -41,4 +41,4 @@ def test_quadrature_demo_runs():
 def test_product_series_demo_runs():
     out = _run_demo("03_product_series.py")
     diffs = [float(d) for d in re.findall(r"rel diff = (\S+)", out)]
-    assert len(diffs) == 3 and max(diffs) < 1e-5
+    assert len(diffs) == 3 and max(diffs) < 1e-10

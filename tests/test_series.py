@@ -295,21 +295,38 @@ def test_weber_triple_m_zero_matches_weber_triple():
     assert se.weber_triple_m(p0).value == se.weber_triple(p0).value
 
 
+def _laplace_j0_jm_jm(al, b1, b2, b3, m):
+    # int_0^inf e^(-al x) J_0(b1 sqrt x) J_m(b2 sqrt x) J_m(b3 sqrt x) dx by
+    # mpmath at 30 digits, as 2 int_0^T t e^(-al t^2) ... dt with e^(-al T^2) = e^(-80)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        al, b1, b2, b3 = map(mpmath.mpf, (al, b1, b2, b3))
+        return float(mpmath.quad(
+            lambda t: (2 * t * mpmath.exp(-al * t * t) * mpmath.besselj(0, b1 * t)
+                       * mpmath.besselj(m, b2 * t) * mpmath.besselj(m, b3 * t)),
+            mpmath.linspace(0, mpmath.sqrt(80 / al), 5)))
+
+
 @pytest.mark.parametrize("m,al,betas", [
     (1, 1.0, (1e-6, 1.0, 1.0)),
     (1, 1.0, (1.0, 1.0, 1.0)),
     (2, 1.0, (0.5, 1.0, 1.5)),
+    # x0 = b1^2/4 alpha at 0, where its powers underflow (b1 = 1e-150), and small
+    *((m, 1.0, (b1, 1.0, 1.5)) for m in (1, 2, 3, 4) for b1 in (0.0, 1e-150, 1e-6)),
+    # off the catalog grid, at m = 3 and 4
+    (3, 0.6, (1.7, 1.3, 0.8)),
+    (4, 0.6, (1.7, 1.3, 0.8)),
+    (4, 0.5, (2.5, 2.0, 1.8)),
+    (3, 0.35, (1.8, 1.2, 0.6)),
+    # a point whose bars need the rounding budget of each Leibniz sum
+    (4, 1.0, (1.2, 0.2, 1.3)),
 ])
 def test_weber_triple_m_against_quadrature(m, al, betas):
-    b1, b2, b3 = betas
-    def f(x):
-        return (np.exp(-al * x) * sp.jv(0, b1 * np.sqrt(x))
-                * sp.jv(m, b2 * np.sqrt(x)) * sp.jv(m, b3 * np.sqrt(x)))
-
-    want = integrate_semiinf_decaying(f, 0.0, al, 1e-11).value
-    r = se.weber_triple_m(TripleParams(al, b1, b2, b3, m))
-    assert r.converged
-    assert rel(r.value, want) < 1e-6
+    want = _laplace_j0_jm_jm(al, *betas, m)
+    r = se.weber_triple_m(TripleParams(al, *betas, m))
+    assert r.converged, r.note
+    assert rel(r.value, want) <= 1e-13
+    assert abs(r.value - want) <= r.abs_err_est
 
 
 def test_weber_triple_m_domain():
@@ -363,24 +380,45 @@ def test_j0jm_limit_against_quadrature():
 
 
 # ----------------------------------------------------------------------
-# derivative_m
+# derivative_m: the exact m-th derivative of e^(-x) S(x)
 # ----------------------------------------------------------------------
 
 def test_derivative_m_trivials():
-    assert abs(se.derivative_m(lambda x: x * x, 3.0, 2).value - 2.0) < 1e-8
-    assert abs(se.derivative_m(math.exp, 0.0, 3).value - 1.0) < 1e-3
-    assert abs(se.derivative_m(math.sin, 0.0, 1).value - 1.0) < 1e-10
+    # at x0 = 0 only n = 0 and i = m survive Leibniz's rule:
+    # (2m-1)!/(m-1)! (b2 b3/4 alpha)^m I_m(b2 b3/2 alpha), Weber's second
+    # exponential integral once weber_triple_m's prefactor is applied
+    for m, al, b2, b3 in ((1, 1.0, 1.0, 1.5), (2, 0.7, 0.4, 1.1), (4, 2.0, 1.5, 0.6)):
+        r = se.derivative_m(TripleParams(al, 0.0, b2, b3, m), 300)
+        want = (math.perm(2 * m - 1, m) * (b2 * b3 / (4 * al)) ** m
+                * oracles.bessel_i_series(m, b2 * b3 / (2 * al)))
+        assert r.converged and rel(r.value, want) < 1e-14
+        weber = math.exp(-(b2 * b2 + b3 * b3) / (4 * al)) * sp.iv(m, b2 * b3 / (2 * al)) / al
+        assert rel(se.weber_triple_m(TripleParams(al, 0.0, b2, b3, m)).value, weber) < 1e-14
 
 
 def test_derivative_m_error_estimate_bounds():
-    for m in (1, 2, 3, 4):
-        r = se.derivative_m(math.exp, 2.0, m)
-        assert r.converged
-        assert abs(r.value - math.exp(2.0)) <= max(r.abs_err_est, 1e-12)
+    # against mpmath's own m-th derivative of e^(-x) S(x), at 30 digits with
+    # 60 terms of S: independent of Leibniz's rule and of the prefactor
+    mpmath = pytest.importorskip("mpmath")
+    al, b1, b2, b3 = 0.6, 1.7, 1.3, 0.8
+    with mpmath.workdps(30):
+        a_, c2, c3 = mpmath.mpf(al), mpmath.mpf(b2), mpmath.mpf(b3)
+        for m in (1, 2, 3, 4):
+            def f(x, m=m):
+                s = mpmath.sqrt(x / a_)
+                return mpmath.exp(-x) * mpmath.fsum(
+                    (-1) ** n * (n + m) * mpmath.factorial(2 * m + n - 1) / mpmath.factorial(n)
+                    * mpmath.besseli(m + n, c2 * s) * mpmath.besseli(m + n, c3 * s)
+                    * mpmath.besseli(m + n, c2 * c3 / (2 * a_)) for n in range(60))
+
+            want = float(mpmath.diff(f, mpmath.mpf(b1) ** 2 / (4 * a_), m))
+            r = se.derivative_m(TripleParams(al, b1, b2, b3, m), 300)
+            assert r.converged and abs(r.value - want) <= r.abs_err_est, (m, r, want)
+            assert rel(r.value, want) < 1e-13
 
 
 def test_derivative_m_domain():
-    with pytest.raises(DomainError):
-        se.derivative_m(math.exp, -1.0, 2)
-    with pytest.raises(DomainError):
-        se.derivative_m(math.exp, 1.0, 5)
+    for p in (TripleParams(1.0, 1.0, 1.0, 1.0, 0), TripleParams(1.0, 1.0, 1.0, 1.0, 5),
+              TripleParams(1.0, 1.0, 0.0, 1.0, 2)):
+        with pytest.raises(DomainError):
+            se.derivative_m(p, 300)

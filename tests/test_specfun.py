@@ -556,29 +556,6 @@ def test_hyp2f1_terminating_legendre_family(n):
 
 
 # ----------------------------------------------------------------------
-# orthogonal polynomials
-# ----------------------------------------------------------------------
-
-def test_laguerre():
-    assert sf.laguerre(0, 0, 3.3) == 1.0
-    assert sf.laguerre(2, 0, 1.0) == -0.5
-    brute = sum((-1.0) ** k * math.comb(5, 3 - k) * 0.7 ** k / math.factorial(k)
-                for k in range(4))
-    assert rel(sf.laguerre(3, 2, 0.7), brute) < 1e-14
-
-
-def test_gegenbauer():
-    assert sf.gegenbauer(0, 1.5, 0.3) == 1.0
-    assert rel(sf.gegenbauer(1, 1.5, 0.2), 0.6) < 1e-15
-    assert rel(sf.gegenbauer(2, 0.5, 0.5), oracles.legendre(2, 0.5)) < 1e-15
-    for n in (3, 5, 8):
-        for x in (-0.7, 0.2, 0.9):
-            assert rel(sf.gegenbauer(n, 0.5, x), oracles.legendre(n, x)) < 1e-12
-    with pytest.raises(DomainError):
-        sf.gegenbauer(2, 0.0, 0.5)
-
-
-# ----------------------------------------------------------------------
 # EvalResult contract
 # ----------------------------------------------------------------------
 
